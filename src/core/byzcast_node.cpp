@@ -1,6 +1,7 @@
 #include "core/byzcast_node.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/sim_backend.h"
 #include "overlay/cds_overlay.h"
@@ -171,6 +172,9 @@ void ByzcastNode::poll_gauges(obs::GaugeVisitor& visitor) const {
   visitor.gauge("overlay_dominator", dominator_ ? 1 : 0);
   visitor.gauge("pending_requests",
                 static_cast<std::int64_t>(pending_missing_.size()));
+  visitor.gauge("recovery_entries",
+                static_cast<std::int64_t>(last_find_issued_.size() +
+                                          forwarded_finds_.size()));
   visitor.gauge("running", running_ ? 1 : 0);
   // Present iff sync is enabled — constant within a run, so timeline
   // columns stay stable.
@@ -239,7 +243,6 @@ void ByzcastNode::broadcast(std::vector<std::uint8_t> payload) {
 
   store_.insert(msg, env_.now());
   store_.mark_accepted(mid);  // we never re-accept our own message
-  store_.mark_gossip_seen(mid);
   if (metrics_ != nullptr) {
     metrics_->on_broadcast(stats::MessageKey{mid.origin, mid.seq}, env_.now(),
                            targets_);
@@ -276,7 +279,7 @@ void ByzcastNode::on_frame(const radio::Frame& frame) {
         } else if constexpr (std::is_same_v<T, FindMissingMsg>) {
           handle_find(msg, frame.sender);
         } else if constexpr (std::is_same_v<T, HelloMsg>) {
-          handle_hello(msg, frame.sender);
+          handle_hello(std::move(msg), frame.sender);
         } else if constexpr (std::is_same_v<T, FrontierMsg>) {
           if (sync_) sync_->on_frontier(msg, frame.sender);
         } else if constexpr (std::is_same_v<T, BulkPullMsg>) {
@@ -314,7 +317,6 @@ void ByzcastNode::handle_data(const DataMsg& msg, NodeId from) {
 
 void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   store_.insert(msg, env_.now());
-  store_.mark_gossip_seen(msg.id);  // DATA piggybacks the gossip (footnote 5)
 
   if (store_.mark_accepted(msg.id)) {  // line 7: Accept(p_i, p_j, message)
     trace_event(trace::EventKind::kAccept, from, msg.id);
@@ -353,9 +355,7 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
 
   // Lines 19-21 + footnote 5: start lazycasting the gossip for this
   // message (we hold both the message and its origin-signed gossip).
-  MessageStore::Stored* stored = store_.find(msg.id);
-  if (stored != nullptr && !stored->gossip_enqueued) {
-    stored->gossip_enqueued = true;
+  if (store_.claim_gossip(msg.id) == MessageStore::GossipClaim::kFirst) {
     trace_event(trace::EventKind::kGossipRelay, kInvalidNode, msg.id);
     msg_event(obs::MsgEventKind::kGossiped, msg.id);
     gossip_queue_.enqueue(msg.gossip_entry());
@@ -365,13 +365,10 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
 void ByzcastNode::admit_synced(const DataMsg& msg, NodeId from) {
   msg_event(obs::MsgEventKind::kSyncPulled, msg.id, from);
   store_.insert(msg, env_.now());
-  store_.mark_gossip_seen(msg.id);
   // No forward, no lazycast: everyone else already has this message —
   // that is exactly why a frontier could advertise it. Re-flooding the
   // backlog would turn an O(missing) catch-up into an O(missing) storm.
-  if (MessageStore::Stored* stored = store_.find(msg.id)) {
-    stored->gossip_enqueued = true;
-  }
+  store_.claim_gossip(msg.id);
   if (store_.mark_accepted(msg.id)) {
     trace_event(trace::EventKind::kAccept, from, msg.id);
     msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
@@ -399,8 +396,10 @@ std::vector<NodeId> ByzcastNode::sync_candidates() const {
 // ---------------------------------------------------------------------------
 // Upon receive(gossip_message, GOSSIP) sent by p_j (Figure 3 lines 26-41)
 // ---------------------------------------------------------------------------
-void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
-  if (msg.hello) handle_hello(*msg.hello, from);  // piggybacked beacon
+void ByzcastNode::handle_gossip(GossipMsg& msg, NodeId from) {
+  if (msg.hello) {
+    handle_hello(std::move(*msg.hello), from);  // piggybacked beacon
+  }
   for (const GossipEntry& entry : msg.entries) {
     fd::MessageHeader header = header_of(MsgType::kGossip, entry.id);
     mute_.observe(header, from);
@@ -411,16 +410,15 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
       suspect(from, fd::SuspicionReason::kBadSignature);
       continue;
     }
-    store_.mark_gossip_seen(entry.id);
-
-    if (MessageStore::Stored* stored = store_.find(entry.id);
-        stored != nullptr) {
-      // Lines 34-38: we have the message; relay its gossip once.
-      if (!stored->gossip_enqueued) {
-        stored->gossip_enqueued = true;
+    // Lines 34-38: we have the message; relay its gossip once.
+    switch (store_.claim_gossip(entry.id)) {
+      case MessageStore::GossipClaim::kFirst:
         gossip_queue_.enqueue(entry);
-      }
-      continue;
+        continue;
+      case MessageStore::GossipClaim::kClaimed:
+        continue;
+      case MessageStore::GossipClaim::kAbsent:
+        break;
     }
 
     // Lines 27-33: gossip about a message we miss.
@@ -585,7 +583,7 @@ void ByzcastNode::reply_with_stored(const MessageId& id_, std::uint8_t ttl) {
 // ---------------------------------------------------------------------------
 // Overlay maintenance (§3.3)
 // ---------------------------------------------------------------------------
-void ByzcastNode::handle_hello(const HelloMsg& msg, NodeId from) {
+void ByzcastNode::handle_hello(HelloMsg&& msg, NodeId from) {
   // The claimed identity must match the transmitting radio; HELLOs are
   // signed, so a mismatch is either forgery or replay.
   if (msg.from != from ||
@@ -598,8 +596,9 @@ void ByzcastNode::handle_hello(const HelloMsg& msg, NodeId from) {
   mute_.observe(header, from);
   verbose_.observe(header, from);
 
-  table_.record(from, msg.active, msg.dominator, msg.neighbors,
-                msg.dominator_neighbors, env_.now(), msg.stability);
+  table_.record(from, msg.active, msg.dominator, std::move(msg.neighbors),
+                std::move(msg.dominator_neighbors), env_.now(),
+                std::move(msg.stability));
   if (config_.trust_propagation) {
     for (NodeId suspectee : msg.suspects) {
       if (suspectee == id()) continue;
@@ -643,6 +642,14 @@ void ByzcastNode::on_hello_tick() {
   // bound a Byzantine neighbour cannot extend by under-reporting its
   // stability prefix forever.
   store_.purge(env_.now(), config_.purge_timeout);
+  // A FIND mark only suppresses repeats within one request_retry window;
+  // past it the mark decides nothing, so it goes instead of growing the
+  // maps for the life of the node.
+  auto stale = [this](const auto& mark) {
+    return env_.now() - mark.second >= config_.request_retry;
+  };
+  std::erase_if(last_find_issued_, stale);
+  std::erase_if(forwarded_finds_, stale);
   if (config_.purge_policy == PurgePolicy::kStability) {
     store_.purge_if(env_.now(), config_.stability_min_age,
                     [this](const MessageId& mid) {

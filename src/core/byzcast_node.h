@@ -144,18 +144,22 @@ class ByzcastNode : public obs::GaugeSource {
 
   /// The node's full flight-recorder row: delegates to the store, TRUST
   /// and neighbour table, then adds its own role/recovery gauges
-  /// (overlay_active, overlay_dominator, pending_requests, running).
+  /// (overlay_active, overlay_dominator, pending_requests,
+  /// recovery_entries, running).
   void poll_gauges(obs::GaugeVisitor& visitor) const override;
 
  protected:
   // --- dispatch (the FD interceptor of Figure 1) ---------------------------
   virtual void on_frame(const radio::Frame& frame);
   // --- the five upon-receive handlers of Figures 3/4 -----------------------
+  // The GOSSIP and HELLO handlers may consume the freshly parsed packet:
+  // a HELLO (standalone or piggybacked on a GOSSIP) moves its lists into
+  // the neighbour table instead of copying them.
   virtual void handle_data(const DataMsg& msg, NodeId from);
-  virtual void handle_gossip(const GossipMsg& msg, NodeId from);
+  virtual void handle_gossip(GossipMsg& msg, NodeId from);
   virtual void handle_request(const RequestMsg& msg, NodeId from);
   virtual void handle_find(const FindMissingMsg& msg, NodeId from);
-  virtual void handle_hello(const HelloMsg& msg, NodeId from);
+  virtual void handle_hello(HelloMsg&& msg, NodeId from);
   // --- periodic tasks -------------------------------------------------------
   virtual void on_gossip_tick();
   virtual void on_hello_tick();
@@ -245,7 +249,8 @@ class ByzcastNode : public obs::GaugeSource {
   // Recovery bookkeeping: last REQUEST time per missing id, FINDs already
   // relayed (per (id, issuer)) and issued (per id) to stop relay storms,
   // and repeat counts of incoming REQUESTs (the §3.2.2 "too many times
-  // from the same node" rule).
+  // from the same node" rule). The two FIND maps drop marks older than
+  // request_retry on the purge tick.
   std::map<MessageId, des::SimTime> last_request_;
   std::map<std::pair<MessageId, NodeId>, des::SimTime> forwarded_finds_;
   std::map<MessageId, des::SimTime> last_find_issued_;

@@ -321,11 +321,13 @@ std::vector<std::uint8_t> data_sign_bytes(
   return w.take();
 }
 
-std::vector<std::uint8_t> gossip_sign_bytes(const MessageId& id) {
-  util::ByteWriter w(9);
-  w.u8(static_cast<std::uint8_t>(MsgType::kGossip));
-  write_id(w, id);
-  return w.take();
+GossipSignBytes gossip_sign_bytes(const MessageId& id) {
+  GossipSignBytes out{static_cast<std::uint8_t>(MsgType::kGossip)};
+  for (int i = 0; i < 4; ++i) {
+    out[1 + i] = static_cast<std::uint8_t>(id.origin >> (8 * i));
+    out[5 + i] = static_cast<std::uint8_t>(id.seq >> (8 * i));
+  }
+  return out;
 }
 
 std::vector<std::uint8_t> hello_sign_bytes(const HelloMsg& hello) {

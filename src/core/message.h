@@ -38,6 +38,7 @@
 // lets the zero-copy path retransmit received frame bytes verbatim.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <variant>
@@ -203,8 +204,12 @@ using Packet = std::variant<DataMsg, GossipMsg, RequestMsg, FindMissingMsg,
 /// Bytes a signature of `id` covers for DATA (origin ‖ seq ‖ payload).
 std::vector<std::uint8_t> data_sign_bytes(
     const MessageId& id, std::span<const std::uint8_t> payload);
-/// Bytes the gossip signature covers (origin ‖ seq).
-std::vector<std::uint8_t> gossip_sign_bytes(const MessageId& id);
+/// Bytes the gossip signature covers: the GOSSIP type byte, then origin
+/// and seq as little-endian u32s. Fixed-size and returned by value — every
+/// received gossip entry is verified against these, so they must not cost
+/// a heap allocation.
+using GossipSignBytes = std::array<std::uint8_t, 9>;
+GossipSignBytes gossip_sign_bytes(const MessageId& id);
 /// Bytes a HELLO signature covers (everything but the signature).
 std::vector<std::uint8_t> hello_sign_bytes(const HelloMsg& hello);
 /// Bytes the range-sync signatures cover (everything but the signature).

@@ -1,6 +1,25 @@
 #include "core/message_store.h"
 
+#include <algorithm>
+
 namespace byzcast::core {
+
+namespace {
+/// First slot whose id is not below `id` (const or mutable, like `slots`).
+template <typename Slots>
+auto lower_bound_id(Slots& slots, const MessageId& id) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), id,
+      [](const auto& slot, const MessageId& key) { return slot.id < key; });
+}
+
+/// The slot holding `id`, or nullptr.
+template <typename Slots>
+auto* find_slot(Slots& slots, const MessageId& id) {
+  auto it = lower_bound_id(slots, id);
+  return it != slots.end() && it->id == id ? &*it : nullptr;
+}
+}  // namespace
 
 util::Buffer MessageStore::Stored::wire(std::uint8_t ttl) {
   if (ttl < 1 || ttl > 2) ttl = 1;
@@ -15,32 +34,42 @@ util::Buffer MessageStore::Stored::wire(std::uint8_t ttl) {
 }
 
 bool MessageStore::insert(DataMsg msg, des::SimTime now) {
-  MessageId id = msg.id;
-  Stored entry;
-  entry.msg = std::move(msg);
-  entry.received_at = now;
-  entry.last_seen = now;
+  auto it = lower_bound_id(index_, msg.id);
+  if (it != index_.end() && it->id == msg.id) return false;
+  auto entry = std::make_unique<Stored>();
+  entry->msg = std::move(msg);
+  entry->received_at = now;
+  entry->last_seen = now;
   // The frame bytes the message arrived (or went out) in serve as the
   // ready-made retransmission for the same ttl.
-  if (!entry.msg.wire.empty() && entry.msg.ttl >= 1 && entry.msg.ttl <= 2) {
-    entry.wire_by_ttl_[entry.msg.ttl - 1] = entry.msg.wire;
+  const DataMsg& kept = entry->msg;
+  if (!kept.wire.empty() && kept.ttl >= 1 && kept.ttl <= 2) {
+    entry->wire_by_ttl_[kept.ttl - 1] = kept.wire;
   }
-  auto [it, inserted] = stored_.emplace(id, std::move(entry));
-  return inserted;
+  index_.insert(it, Slot{kept.id, false, now, std::move(entry)});
+  return true;
 }
 
 bool MessageStore::has(const MessageId& id) const {
-  return stored_.count(id) > 0;
+  return find_slot(index_, id) != nullptr;
 }
 
 MessageStore::Stored* MessageStore::find(const MessageId& id) {
-  auto it = stored_.find(id);
-  return it == stored_.end() ? nullptr : &it->second;
+  Slot* s = find_slot(index_, id);
+  return s == nullptr ? nullptr : s->stored.get();
 }
 
 const MessageStore::Stored* MessageStore::find(const MessageId& id) const {
-  auto it = stored_.find(id);
-  return it == stored_.end() ? nullptr : &it->second;
+  const Slot* s = find_slot(index_, id);
+  return s == nullptr ? nullptr : s->stored.get();
+}
+
+MessageStore::GossipClaim MessageStore::claim_gossip(const MessageId& id) {
+  Slot* s = find_slot(index_, id);
+  if (s == nullptr) return GossipClaim::kAbsent;
+  if (s->gossip_claimed) return GossipClaim::kClaimed;
+  s->gossip_claimed = true;
+  return GossipClaim::kFirst;
 }
 
 bool MessageStore::mark_accepted(const MessageId& id) {
@@ -121,54 +150,33 @@ std::vector<MessageStore::Stored*> MessageStore::stored_range(
     NodeId origin, std::uint32_t from_seq, std::uint32_t count) {
   std::vector<Stored*> out;
   std::uint64_t end = static_cast<std::uint64_t>(from_seq) + count;
-  for (auto it = stored_.lower_bound({origin, from_seq});
-       it != stored_.end() && it->first.origin == origin &&
-       it->first.seq < end;
+  for (auto it = lower_bound_id(index_, {origin, from_seq});
+       it != index_.end() && it->id.origin == origin && it->id.seq < end;
        ++it) {
-    out.push_back(&it->second);
+    out.push_back(it->stored.get());
   }
   return out;
-}
-
-void MessageStore::mark_gossip_seen(const MessageId& id) {
-  gossip_seen_.insert(id);
-}
-
-bool MessageStore::gossip_seen(const MessageId& id) const {
-  return gossip_seen_.count(id) > 0;
 }
 
 void MessageStore::purge_if(
     des::SimTime now, des::SimDuration min_age,
     const std::function<bool(const MessageId&)>& stable) {
-  for (auto it = stored_.begin(); it != stored_.end();) {
-    bool old_enough = now >= min_age && it->second.received_at <= now - min_age;
-    if (old_enough && stable(it->first)) {
-      gossip_seen_.erase(it->first);
-      it = stored_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(index_, [&](const Slot& s) {
+    bool old_enough = now >= min_age && s.received_at <= now - min_age;
+    return old_enough && stable(s.id);
+  });
 }
 
 void MessageStore::purge(des::SimTime now, des::SimDuration max_age) {
   if (now < max_age) return;
   des::SimTime cutoff = now - max_age;
-  for (auto it = stored_.begin(); it != stored_.end();) {
-    if (it->second.received_at < cutoff) {
-      gossip_seen_.erase(it->first);
-      it = stored_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(index_,
+                [cutoff](const Slot& s) { return s.received_at < cutoff; });
 }
 
 void MessageStore::clear() {
-  stored_.clear();
+  index_.clear();
   accepted_.clear();
-  gossip_seen_.clear();
   prefix_.clear();
 }
 

@@ -7,13 +7,21 @@
 // purged, so a duplicate arriving after its buffer entry expired is still
 // filtered. §3.5 bounds the buffer at max_timeout·(n−1)·δ messages; the
 // purge timeout is the config knob realizing that bound.
+//
+// Layout (DESIGN.md "receive path"): every received copy of a message a
+// node already holds costs one lookup here, so the stored set is a flat
+// vector of small slots sorted by MessageId — id, receipt time and the
+// relay-gossip-once bit — each pointing at a heap-allocated Stored that
+// never moves. Lookups binary-search contiguous memory, purges scan it
+// without touching the payloads, and a Stored* stays valid until its own
+// entry is purged.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
-
 #include <utility>
 #include <vector>
 
@@ -28,7 +36,6 @@ class MessageStore : public obs::GaugeSource {
   struct Stored {
     DataMsg msg;
     des::SimTime received_at = 0;
-    bool gossip_enqueued = false;  ///< lazycast started for this message
     des::SimTime last_reply = 0;   ///< last retransmission we sent
     /// Last time any copy was heard on the air (first receipt or a
     /// duplicate) — recovery replies are suppressed while a copy is
@@ -54,6 +61,17 @@ class MessageStore : public obs::GaugeSource {
   /// Mutable access for reply bookkeeping; nullptr if absent/purged.
   [[nodiscard]] Stored* find(const MessageId& id);
   [[nodiscard]] const Stored* find(const MessageId& id) const;
+
+  enum class GossipClaim : std::uint8_t {
+    kAbsent,   ///< not stored: the caller may need to request it
+    kFirst,    ///< stored, and this call claimed its one gossip relay
+    kClaimed,  ///< stored, and its gossip relay was claimed before
+  };
+  /// The relay-gossip-once test of Figure 3 (lines 19-21 and 34-38) in
+  /// one lookup: reports whether `id` is stored and, if so, marks its
+  /// lazycast as started. kFirst is returned at most once per stored
+  /// entry; a purged and re-inserted message can be claimed again.
+  GossipClaim claim_gossip(const MessageId& id);
 
   /// Marks `id` accepted. Returns true exactly once per id.
   bool mark_accepted(const MessageId& id);
@@ -85,12 +103,8 @@ class MessageStore : public obs::GaugeSource {
                                                   std::uint32_t from_seq,
                                                   std::uint32_t count);
 
-  /// Records that a gossip about `id` was heard (from any source).
-  void mark_gossip_seen(const MessageId& id);
-  [[nodiscard]] bool gossip_seen(const MessageId& id) const;
-
-  /// Drops stored messages received before `now - max_age`. Gossip-seen
-  /// marks for purged messages are dropped too; accepted ids are kept.
+  /// Drops stored messages received before `now - max_age`; accepted ids
+  /// are kept.
   void purge(des::SimTime now, des::SimDuration max_age);
 
   /// Drops stored messages for which `stable` returns true (and which
@@ -98,26 +112,31 @@ class MessageStore : public obs::GaugeSource {
   void purge_if(des::SimTime now, des::SimDuration min_age,
                 const std::function<bool(const MessageId&)>& stable);
 
-  /// Wipes everything — stored messages, accepted ids, gossip-seen marks
-  /// and stability prefixes. Models a crash of the volatile memory the
-  /// store lives in (fault injection's kCrashRecover); the at-most-once
-  /// accept guarantee consequently only spans one node incarnation.
+  /// Wipes everything — stored messages, accepted ids and stability
+  /// prefixes. Models a crash of the volatile memory the store lives in
+  /// (fault injection's kCrashRecover); the at-most-once accept guarantee
+  /// consequently only spans one node incarnation.
   void clear();
 
-  [[nodiscard]] std::size_t size() const { return stored_.size(); }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t accepted_count() const { return accepted_.size(); }
 
   /// Gauges: buffered message count and cumulative accepted ids, sampled
   /// by the obs::Timeline.
   void poll_gauges(obs::GaugeVisitor& visitor) const override {
-    visitor.gauge("store_size", static_cast<std::int64_t>(stored_.size()));
+    visitor.gauge("store_size", static_cast<std::int64_t>(index_.size()));
     visitor.gauge("accepted", static_cast<std::int64_t>(accepted_.size()));
   }
 
  private:
-  std::map<MessageId, Stored> stored_;
+  struct Slot {
+    MessageId id;
+    bool gossip_claimed = false;  ///< claim_gossip() has returned kFirst
+    des::SimTime received_at = 0;
+    std::unique_ptr<Stored> stored;
+  };
+  std::vector<Slot> index_;  // ascending id
   std::set<MessageId> accepted_;
-  std::set<MessageId> gossip_seen_;
   std::map<NodeId, std::uint32_t> prefix_;  // per-origin contiguous accepts
 };
 

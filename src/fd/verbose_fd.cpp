@@ -12,6 +12,7 @@ VerboseFd::VerboseFd(net::Env& env, VerboseFdConfig config)
 }
 
 void VerboseFd::set_min_spacing(std::uint8_t type, des::SimDuration spacing) {
+  if (type >= min_spacing_.size()) min_spacing_.resize(type + 1, 0);
   min_spacing_[type] = spacing;
 }
 
@@ -24,13 +25,14 @@ void VerboseFd::indict(NodeId node) {
 }
 
 void VerboseFd::observe(const MessageHeader& header, NodeId from) {
-  auto rule = min_spacing_.find(header.type);
-  if (rule == min_spacing_.end()) return;
+  if (header.type >= min_spacing_.size()) return;
+  const des::SimDuration spacing = min_spacing_[header.type];
+  if (spacing == 0) return;
   std::uint64_t key =
       (static_cast<std::uint64_t>(from) << 8) | header.type;
   auto [it, first_time] = last_arrival_.emplace(key, env_.now());
   if (!first_time) {
-    if (env_.now() - it->second < rule->second) indict(from);
+    if (env_.now() - it->second < spacing) indict(from);
     it->second = env_.now();
   }
 }

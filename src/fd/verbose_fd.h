@@ -39,7 +39,8 @@ class VerboseFd {
   VerboseFd(net::Env& env, VerboseFdConfig config);
 
   /// Init-time: messages of `type` from one node arriving closer together
-  /// than `spacing` count as an indictment each.
+  /// than `spacing` count as an indictment each. A zero spacing removes
+  /// the rule.
   void set_min_spacing(std::uint8_t type, des::SimDuration spacing);
 
   /// Figure 2: indict(node id).
@@ -64,7 +65,10 @@ class VerboseFd {
 
   net::Env& env_;
   VerboseFdConfig config_;
-  std::unordered_map<std::uint8_t, des::SimDuration> min_spacing_;
+  // Min spacing per message type, indexed by type; 0 = no rule. Sized to
+  // the largest configured type, so observe() on an unruled type is one
+  // bounds check.
+  std::vector<des::SimDuration> min_spacing_;
   // (node, type) -> last arrival time, for the spacing rule.
   std::unordered_map<std::uint64_t, des::SimTime> last_arrival_;
   std::unordered_map<NodeId, int> indictments_;

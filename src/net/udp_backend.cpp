@@ -36,6 +36,7 @@ UdpTransport::UdpTransport(IoLoop& loop, NodeId self, const std::string& host,
     : loop_(loop),
       self_(self),
       peers_(std::move(peers)),
+      recv_buf_(65536),
       retry_rng_(loop.split_rng()) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) throw std::runtime_error("UdpTransport: socket() failed");
@@ -162,13 +163,12 @@ void UdpTransport::on_readable() {
   // Drain everything available: poll() is level-triggered, but one
   // callback per datagram would cost a full loop turn each.
   for (;;) {
-    std::vector<std::uint8_t> buf(65536);
-    ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    ssize_t n = ::recv(fd_, recv_buf_.data(), recv_buf_.size(), 0);
     if (n < 0) return;  // EAGAIN or error: nothing more to read
     // n == 0 is a legal zero-length datagram; it falls through the strict
     // decoder (too short) and counts as rejected like any other garbage.
-    buf.resize(static_cast<std::size_t>(n));
-    util::Buffer bytes(std::move(buf));
+    util::Buffer bytes = util::Buffer::copy_of(
+        {recv_buf_.data(), static_cast<std::size_t>(n)});
     std::optional<radio::Frame> frame = decode_datagram(bytes);
     if (!frame || frame->sender == self_) {
       ++rejected_;

@@ -124,6 +124,9 @@ class UdpTransport final : public Transport {
     sockaddr_in addr{};
   };
   std::vector<Target> targets_;
+  /// recv() lands here; each datagram is then copied out at its exact
+  /// size, so a stored message never pins a 64 KiB receive buffer.
+  std::vector<std::uint8_t> recv_buf_;
   ReceiveHandler handler_;
   FrameTap frame_tap_;
   SendListener on_send_error_;

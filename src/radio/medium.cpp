@@ -246,34 +246,43 @@ void Medium::begin_transmission(Frame frame, des::SimTime t_start,
   // exactly the in-range receivers: every RNG draw's position in the
   // stream depends on it, and the golden determinism hashes pin that
   // stream. The sharded path feeds it a sorted candidate superset and
-  // relies on the same `dist > reach` test to discard the extras.
-  auto offer = [&](NodeId rx) {
-    if (rx == sender || radios_[rx] == nullptr || !attached_[rx]) return;
+  // relies on the same `dist > reach` test to discard the extras. One
+  // loop serves both paths so the body is compiled inline: unsharded, it
+  // runs for every registered radio.
+  const bool sharded = sharding_active();
+  if (sharded) gather_candidates(tx_pos, reach, candidate_scratch_);
+  const std::size_t candidates =
+      sharded ? candidate_scratch_.size() : radios_.size();
+  const std::size_t wire = frame.wire_size();
+  std::vector<Delivery> deliveries;
+  for (std::size_t i = 0; i < candidates; ++i) {
+    const NodeId rx = sharded ? candidate_scratch_[i] : static_cast<NodeId>(i);
+    if (rx == sender || radios_[rx] == nullptr || !attached_[rx]) continue;
     geo::Vec2 rx_pos = radios_[rx]->position_at(t_start);
     if (wall_x_ && (tx_pos.x < *wall_x_) != (rx_pos.x < *wall_x_)) {
-      return;  // area split: the wall blocks this link
+      continue;  // area split: the wall blocks this link
     }
     double dist = geo::distance(tx_pos, rx_pos);
-    if (dist > reach) return;
+    if (dist > reach) continue;
     // `rx` is a live in-range candidate: from here on, exactly one of
     // the dropped / collided / delivered outcomes fires for it, so
     // offered == dropped + collided + delivered (counts and bytes) — the
     // conservation identity conservation_test asserts.
-    const std::size_t wire = frame.wire_size();
     if (metrics_ != nullptr) metrics_->on_frame_offered(wire);
     if (!propagation_->delivered(dist, nominal, rng_) ||
         rng_.chance(config_.base_loss_prob)) {
       if (metrics_ != nullptr) metrics_->on_frame_dropped(wire);
-      return;
+      continue;
     }
     prune(rx, t_start);
     // Half-duplex: receiver busy transmitting during any part of the
     // frame loses it.
-    for (const Interval& tx : tx_intervals_[rx]) {
-      if (tx.start < t_end && t_start < tx.end) {
-        if (metrics_ != nullptr) metrics_->on_frame_dropped(wire);
-        return;
-      }
+    const auto& busy = tx_intervals_[rx];
+    if (std::any_of(busy.begin(), busy.end(), [&](const Interval& tx) {
+          return tx.start < t_end && t_start < tx.end;
+        })) {
+      if (metrics_ != nullptr) metrics_->on_frame_dropped(wire);
+      continue;
     }
     const std::uint32_t reception = alloc_reception(t_start, t_end);
     if (config_.collisions_enabled) {
@@ -286,33 +295,39 @@ void Medium::begin_transmission(Frame frame, des::SimTime t_start,
       }
     }
     receptions_[rx].push_back(reception);
-    // Copying the Frame into the lambda shares the payload buffer — the
-    // whole fan-out performs zero per-receiver byte copies.
-    sim_.schedule_at(
-        t_end + config_.latency, [this, rx, reception, frame]() {
-          // Each corrupted reception is counted exactly once, here.
-          const bool corrupted = reception_pool_[reception].corrupted;
-          release_reception(reception);
-          if (corrupted) {
-            if (metrics_ != nullptr) metrics_->on_frame_collided(frame.wire_size());
-            return;
-          }
-          if (!attached_[rx]) {  // detached while the frame was in flight
-            if (metrics_ != nullptr) metrics_->on_frame_dropped(frame.wire_size());
-            return;
-          }
-          if (metrics_ != nullptr) {
-            metrics_->on_frame_delivered(frame.wire_size());
-          }
-          radios_[rx]->deliver(frame);
-        });
-  };
+    deliveries.push_back({rx, reception});
+  }
+  if (deliveries.empty()) return;
+  // One event delivers to every surviving receiver (DESIGN.md "receive
+  // path"). Per-receiver events would all carry this timestamp and
+  // consecutive insertion numbers, so nothing could run between them:
+  // walking the receivers in the same ascending order inside one event
+  // is the identical execution. The lambda's Frame shares the payload
+  // buffer with every receiver — zero per-receiver byte copies.
+  sim_.schedule_at(t_end + config_.latency,
+                   [this, frame = std::move(frame),
+                    deliveries = std::move(deliveries)]() {
+                     deliver(frame, deliveries);
+                   });
+}
 
-  if (sharding_active()) {
-    gather_candidates(tx_pos, reach, candidate_scratch_);
-    for (NodeId rx : candidate_scratch_) offer(rx);
-  } else {
-    for (NodeId rx = 0; rx < radios_.size(); ++rx) offer(rx);
+void Medium::deliver(const Frame& frame,
+                     const std::vector<Delivery>& deliveries) {
+  const std::size_t wire = frame.wire_size();
+  for (const auto& [rx, reception] : deliveries) {
+    // Each corrupted reception is counted exactly once, here.
+    const bool corrupted = reception_pool_[reception].corrupted;
+    release_reception(reception);
+    if (corrupted) {
+      if (metrics_ != nullptr) metrics_->on_frame_collided(wire);
+      continue;
+    }
+    if (!attached_[rx]) {  // detached while the frame was in flight
+      if (metrics_ != nullptr) metrics_->on_frame_dropped(wire);
+      continue;
+    }
+    if (metrics_ != nullptr) metrics_->on_frame_delivered(wire);
+    radios_[rx]->deliver(frame);
   }
 }
 

@@ -11,7 +11,8 @@
 //   deliveries fire at t_end + latency at every receiver that (a) is in
 //   range at t_start, (b) passes the propagation/loss draws, (c) was not
 //   itself transmitting during [t_start, t_end] (half-duplex), and (d) had
-//   no overlapping reception (collision).
+//   no overlapping reception (collision). All of one transmission's
+//   deliveries share a single simulator event, in ascending receiver id.
 //
 // The random pre-transmission jitter stands in for CSMA backoff: it
 // de-synchronizes the "every neighbour re-forwards at once" bursts that
@@ -127,9 +128,17 @@ class Medium {
     des::SimTime start = 0;
     des::SimTime end = 0;
   };
+  /// One receiver's pending copy of a transmission.
+  struct Delivery {
+    NodeId rx = kInvalidNode;
+    std::uint32_t reception = 0;  ///< index into reception_pool_
+  };
 
   void begin_transmission(Frame frame, des::SimTime t_start,
                           des::SimTime t_end);
+  /// The single end-of-airtime event of one transmission: settles each
+  /// receiver's copy (collided, dropped or delivered) in ascending id.
+  void deliver(const Frame& frame, const std::vector<Delivery>& deliveries);
   [[nodiscard]] des::SimDuration airtime(std::size_t wire_bytes) const;
   void prune(NodeId id, des::SimTime now);
 

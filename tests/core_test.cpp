@@ -42,26 +42,96 @@ TEST(MessageStore, AcceptedExactlyOnce) {
   EXPECT_EQ(store.accepted_count(), 1u);
 }
 
-TEST(MessageStore, GossipSeenTracking) {
+TEST(MessageStore, OutOfOrderInsertsStayFindable) {
   MessageStore store;
-  EXPECT_FALSE(store.gossip_seen({1, 0}));
-  store.mark_gossip_seen({1, 0});
-  EXPECT_TRUE(store.gossip_seen({1, 0}));
+  const MessageId ids[] = {{3, 5}, {1, 9}, {3, 0}, {2, 2}, {1, 0}, {3, 2}};
+  for (std::size_t i = 0; i < std::size(ids); ++i) {
+    EXPECT_TRUE(store.insert(make_msg(ids[i].origin, ids[i].seq), i));
+  }
+  EXPECT_EQ(store.size(), std::size(ids));
+  for (std::size_t i = 0; i < std::size(ids); ++i) {
+    const MessageStore::Stored* stored = store.find(ids[i]);
+    ASSERT_NE(stored, nullptr) << i;
+    EXPECT_EQ(stored->msg.id, ids[i]);
+    EXPECT_EQ(stored->received_at, i);
+  }
+  EXPECT_FALSE(store.has({2, 0}));
+  EXPECT_FALSE(store.has({4, 0}));
+  EXPECT_FALSE(store.insert(make_msg(2, 2), 99));  // duplicate, any order
+}
+
+TEST(MessageStore, StoredRangeOrderedAcrossOrigins) {
+  MessageStore store;
+  for (std::uint32_t seq : {4u, 1u, 3u, 0u}) store.insert(make_msg(2, seq), 0);
+  for (std::uint32_t seq : {2u, 0u, 1u}) store.insert(make_msg(1, seq), 0);
+  for (std::uint32_t seq : {1u, 0u}) store.insert(make_msg(3, seq), 0);
+  auto seqs = [&](NodeId origin, std::uint32_t from, std::uint32_t count) {
+    std::vector<std::uint32_t> out;
+    for (const MessageStore::Stored* s :
+         store.stored_range(origin, from, count)) {
+      EXPECT_EQ(s->msg.id.origin, origin);
+      out.push_back(s->msg.id.seq);
+    }
+    return out;
+  };
+  EXPECT_EQ(seqs(2, 0, 10), (std::vector<std::uint32_t>{0, 1, 3, 4}));
+  EXPECT_EQ(seqs(2, 1, 3), (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(seqs(1, 0, 100), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(seqs(3, 1, 1), (std::vector<std::uint32_t>{1}));
+  EXPECT_TRUE(seqs(0, 0, 100).empty());
+}
+
+TEST(MessageStore, ClaimGossipIsFirstOnceAndAbsentForMissing) {
+  MessageStore store;
+  using Claim = MessageStore::GossipClaim;
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kAbsent);
+  store.insert(make_msg(1, 0), 0);
+  store.insert(make_msg(1, 1), 0);
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kFirst);
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kClaimed);
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kClaimed);
+  EXPECT_EQ(store.claim_gossip({1, 1}), Claim::kFirst);  // per id
+  EXPECT_EQ(store.claim_gossip({1, 2}), Claim::kAbsent);
+  // The claim lives with the stored entry: once purged, the id is absent
+  // again, and a fresh copy can be relayed anew.
+  store.purge(des::seconds(10), des::seconds(5));
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kAbsent);
+  store.insert(make_msg(1, 0), des::seconds(10));
+  EXPECT_EQ(store.claim_gossip({1, 0}), Claim::kFirst);
+}
+
+TEST(MessageStore, StoredPointerSurvivesOtherInserts) {
+  MessageStore store;
+  store.insert(make_msg(5, 5), 0);
+  MessageStore::Stored* held = store.find({5, 5});
+  ASSERT_NE(held, nullptr);
+  const std::uint8_t* payload = held->msg.payload.data();
+  // Inserts on both sides of the held id move the index around it.
+  for (std::uint32_t seq = 0; seq < 200; ++seq) {
+    store.insert(make_msg(seq % 2 == 0 ? 1 : 9, seq), 0);
+  }
+  EXPECT_EQ(store.find({5, 5}), held);
+  EXPECT_EQ(held->msg.id, (MessageId{5, 5}));
+  EXPECT_EQ(held->msg.payload.data(), payload);
 }
 
 TEST(MessageStore, PurgeDropsOldMessagesOnly) {
   MessageStore store;
   store.insert(make_msg(1, 0), des::seconds(1));
   store.insert(make_msg(1, 1), des::seconds(50));
-  store.mark_gossip_seen({1, 0});
+  store.insert(make_msg(0, 7), des::seconds(2));
+  store.insert(make_msg(2, 3), des::seconds(40));
   store.mark_accepted({1, 0});
 
   store.purge(des::seconds(60), des::seconds(30));
   EXPECT_FALSE(store.has({1, 0}));  // 59 s old > 30 s
+  EXPECT_FALSE(store.has({0, 7}));
   EXPECT_TRUE(store.has({1, 1}));   // 10 s old
-  // Gossip-seen marks die with the buffer entry; accepted ids survive
-  // (at-most-once outlives purging).
-  EXPECT_FALSE(store.gossip_seen({1, 0}));
+  EXPECT_TRUE(store.has({2, 3}));
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_NE(store.find({2, 3}), nullptr);
+  EXPECT_EQ(store.find({2, 3})->received_at, des::seconds(40));
+  // Accepted ids survive (at-most-once outlives purging).
   EXPECT_TRUE(store.accepted({1, 0}));
 }
 
@@ -119,6 +189,24 @@ TEST(MessageStore, PurgeIfDropsOnlyStableAndOldEnough) {
   EXPECT_FALSE(store.has({1, 0}));  // old + stable
   EXPECT_TRUE(store.has({1, 1}));   // old but not stable
   EXPECT_TRUE(store.has({1, 2}));   // stable but too young
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_NE(store.find({1, 1}), nullptr);
+  EXPECT_EQ(store.find({1, 1})->msg.id, (MessageId{1, 1}));
+}
+
+TEST(MessageStore, PurgeIfAsksInIdOrder) {
+  MessageStore store;
+  for (std::uint32_t seq : {3u, 0u, 2u}) store.insert(make_msg(2, seq), 0);
+  store.insert(make_msg(1, 4), 0);
+  std::vector<MessageId> asked;
+  store.purge_if(des::seconds(10), des::seconds(1),
+                 [&asked](const MessageId& id) {
+                   asked.push_back(id);
+                   return id.seq % 2 == 0;
+                 });
+  EXPECT_EQ(asked, (std::vector<MessageId>{{1, 4}, {2, 0}, {2, 2}, {2, 3}}));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_TRUE(store.has({2, 3}));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/message.h"
 #include "des/rng.h"
 
@@ -438,7 +440,15 @@ TEST(Message, SignBytesDifferPerMessage) {
   EXPECT_NE(data_sign_bytes(a, payload), data_sign_bytes(b, payload));
   EXPECT_NE(gossip_sign_bytes(a), gossip_sign_bytes(b));
   // DATA and GOSSIP sign-bytes are domain-separated.
-  EXPECT_NE(data_sign_bytes(a, {}), gossip_sign_bytes(a));
+  EXPECT_FALSE(
+      std::ranges::equal(data_sign_bytes(a, {}), gossip_sign_bytes(a)));
+}
+
+TEST(Message, GossipSignBytesLayout) {
+  // Type byte, then origin and seq little-endian: the bytes every gossip
+  // signature ever issued covers.
+  GossipSignBytes expected{2, 0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06, 0x05};
+  EXPECT_EQ(gossip_sign_bytes({0x01020304, 0x05060708}), expected);
 }
 
 TEST(Message, HelloSignBytesCoverEveryField) {

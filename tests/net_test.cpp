@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -226,6 +227,53 @@ TEST(UdpTransportTest, RejectsMalformedDatagrams) {
   loop.run_for(des::millis(300));
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(victim.datagrams_rejected(), garbage.size());
+}
+
+TEST(UdpTransportTest, HeldFramesDoNotPinReceiveBuffers) {
+  // A node keeps the bytes of every message it stores. Each received
+  // frame must therefore own an allocation of its own size, not a view
+  // into a 64 KiB receive buffer: 2,000 held frames once pinned ~128 MB.
+  constexpr std::size_t kFrames = 2000;
+  constexpr std::size_t kBatch = 50;  // stays far below the socket buffer
+  const std::uint16_t port = static_cast<std::uint16_t>(test_base_port() + 8);
+  IoLoop loop(1);
+  std::vector<UdpPeer> peers{{0, "127.0.0.1", port}};
+  UdpTransport receiver(loop, 0, "127.0.0.1", port, peers);
+  std::vector<util::Buffer> held;
+  std::size_t wanted = 0;
+  receiver.set_receive_handler([&](const radio::Frame& frame) {
+    held.push_back(frame.payload);
+    if (held.size() >= wanted) loop.stop();
+  });
+
+  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  const util::Buffer datagram =
+      encode_datagram(1, util::Buffer(std::vector<std::uint8_t>(64, 0x5A)));
+
+  auto peak_rss_kb = [] {
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+  };
+  const long before = peak_rss_kb();
+  while (held.size() < kFrames) {
+    wanted = held.size() + kBatch;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      ::sendto(raw, datagram.data(), datagram.size(), 0,
+               reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+    }
+    loop.run_for(des::seconds(2));
+    ASSERT_EQ(held.size(), wanted) << "loopback lost datagrams";
+  }
+  ::close(raw);
+  const long grown_kb = peak_rss_kb() - before;
+  EXPECT_LT(grown_kb, 16 * 1024) << "holding " << held.size() << " frames";
+  EXPECT_EQ(receiver.datagrams_received(), kFrames);
 }
 
 // --- SimBackend equivalence ------------------------------------------------

@@ -3,7 +3,9 @@
 // and sniff what the node puts on the air.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string_view>
 
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
@@ -424,6 +426,55 @@ TEST_F(NodeTest, RepeatedRequestsIndictRequester) {
   }
   EXPECT_TRUE(mid.verbose().suspected(raw));
   EXPECT_TRUE(mid.trust().suspects(raw));
+}
+
+std::int64_t gauge_of(const ByzcastNode& node, std::string_view name) {
+  struct Finder final : obs::GaugeVisitor {
+    std::string_view want;
+    std::int64_t value = -1;
+    void gauge(std::string_view gauge, std::int64_t v) override {
+      if (gauge == want) value = v;
+    }
+  } finder;
+  finder.want = name;
+  node.poll_gauges(finder);
+  return finder.value;
+}
+
+TEST_F(NodeTest, RecoveryMarksExpireAfterRetryWindow) {
+  // An overlay node fielding REQUESTs for ids nobody holds (each issues a
+  // FIND) and two-hop FINDs (each relayed once) for six retry windows:
+  // the FIND marks of a window must be gone a window later.
+  add_node({0, 0});
+  ByzcastNode& mid = add_node({80, 0});
+  add_node({160, 0});
+  NodeId raw = add_raw({80, 50});
+  NodeId origin = add_raw({500, 500});  // registration only
+  sim_.run_until(des::seconds(2));
+  ASSERT_TRUE(mid.in_overlay());
+  ASSERT_EQ(gauge_of(mid, "recovery_entries"), 0);
+
+  const des::SimDuration retry = mid.config().request_retry;
+  std::uint32_t seq = 0;
+  std::int64_t peak = 0;
+  for (int window = 0; window < 6; ++window) {
+    for (int i = 0; i < 5; ++i) {
+      raw_send(raw, Packet{RequestMsg{make_signed_entry(origin, seq++), 0}});
+      sim_.run_until(sim_.now() + des::millis(40));
+      raw_send(raw, Packet{FindMissingMsg{make_signed_entry(origin, seq++),
+                                          /*gossiper=*/5, /*issuer=*/raw,
+                                          /*ttl=*/2}});
+      sim_.run_until(sim_.now() + des::millis(40));
+    }
+    peak = std::max(peak, gauge_of(mid, "recovery_entries"));
+    sim_.run_until(sim_.now() + retry - des::millis(200));
+  }
+  // Every window left ten marks (five issued FINDs, five relayed); at most
+  // the last window's and its predecessor's can still be held.
+  EXPECT_GE(peak, 10);
+  EXPECT_LE(peak, 20);
+  sim_.run_until(sim_.now() + 2 * retry);
+  EXPECT_EQ(gauge_of(mid, "recovery_entries"), 0);
 }
 
 TEST_F(NodeTest, GossipBundlesAggregateMultipleEntries) {

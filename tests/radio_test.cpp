@@ -175,6 +175,70 @@ TEST_F(MediumTest, MetricsCountFrames) {
   EXPECT_EQ(metrics_.frames_delivered(), 2u);
 }
 
+TEST_F(MediumTest, OneEventDeliversEveryReceiverInAscendingId) {
+  build(quiet_config());
+  NodeId a = add_node({0, 0});
+  for (int i = 0; i < 4; ++i) add_node({10.0 + 10 * i, 0});
+  std::vector<NodeId> order;
+  for (NodeId rx = 1; rx <= 4; ++rx) {
+    radios_[rx]->set_receive_handler(
+        [&order, rx](const Frame&) { order.push_back(rx); });
+  }
+  radios_[a]->send({1, 2, 3});
+  // Two events in all: the start of airtime and the single delivery event
+  // that walks all four receivers.
+  EXPECT_EQ(sim_.run_until(des::seconds(1)), 2u);
+  EXPECT_EQ(order, (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(metrics_.frames_delivered(), 4u);
+}
+
+TEST_F(MediumTest, ReceiverDetachedInFlightCountsAsDropped) {
+  build(quiet_config());
+  NodeId a = add_node({0, 0});
+  NodeId b = add_node({10, 0});
+  NodeId c = add_node({20, 0});
+  NodeId d = add_node({30, 0});
+  // b is detached during the airtime; c's delivery detaches d, whose
+  // copy is settled later in the same event.
+  radios_[c]->set_receive_handler(
+      [this, d](const Frame&) { medium_->set_attached(d, false); });
+  radios_[a]->send({1, 2, 3});
+  sim_.schedule_at(des::micros(1),
+                   [this, b] { medium_->set_attached(b, false); });
+  sim_.run_until(des::seconds(1));
+  EXPECT_TRUE(received_[b].empty());
+  EXPECT_TRUE(received_[d].empty());
+  EXPECT_EQ(metrics_.frames_offered(), 3u);
+  EXPECT_EQ(metrics_.frames_delivered(), 1u);
+  EXPECT_EQ(metrics_.frames_dropped(), 2u);
+  EXPECT_EQ(metrics_.frames_collided(), 0u);
+}
+
+TEST_F(MediumTest, OfferedEqualsDroppedCollidedDelivered) {
+  MediumConfig config;
+  config.tx_jitter_max = des::micros(3000);  // some overlap, some not
+  config.base_loss_prob = 0.2;
+  build(config);
+  for (int i = 0; i < 12; ++i) add_node({15.0 * (i % 4), 15.0 * (i / 4)});
+  for (int round = 0; round < 20; ++round) {
+    sim_.schedule_at(des::millis(10) * round, [this, round] {
+      for (NodeId id = 0; id < radios_.size(); id += 1 + round % 3) {
+        radios_[id]->send(std::vector<std::uint8_t>(8 + round, 7));
+      }
+    });
+  }
+  sim_.run_until(des::seconds(2));
+  EXPECT_GT(metrics_.frames_collided(), 0u);
+  EXPECT_GT(metrics_.frames_dropped(), 0u);
+  EXPECT_GT(metrics_.frames_delivered(), 0u);
+  EXPECT_EQ(metrics_.frames_offered(), metrics_.frames_dropped() +
+                                           metrics_.frames_collided() +
+                                           metrics_.frames_delivered());
+  EXPECT_EQ(metrics_.frame_bytes_offered(),
+            metrics_.frame_bytes_dropped() + metrics_.frame_bytes_collided() +
+                metrics_.frame_bytes_delivered());
+}
+
 TEST_F(MediumTest, RejectsDuplicateRegistrationAndUnknownSender) {
   build(quiet_config());
   add_node({0, 0});
