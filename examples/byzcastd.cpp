@@ -54,7 +54,6 @@
 #include "net/impairment.h"
 #include "net/io_loop.h"
 #include "net/peer_health.h"
-#include "net/sim_backend.h"
 #include "net/timer.h"
 #include "net/udp_backend.h"
 #include "obs/msg_trace.h"

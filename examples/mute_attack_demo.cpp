@@ -15,6 +15,7 @@
 #include "byz/adversary.h"
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
+#include "net/timer.h"
 #include "radio/medium.h"
 #include "sim/runner.h"
 #include "util/log.h"
@@ -67,7 +68,7 @@ int main() {
 
   // Narrator probe: report trust/overlay transitions as they happen.
   bool reported_suspect = false, reported_heal = false;
-  des::PeriodicTimer probe(sim, des::millis(250), [&] {
+  net::PeriodicTimer probe(sim, des::millis(250), [&] {
     if (!reported_suspect && nodes[2]->trust().suspects(3)) {
       reported_suspect = true;
       std::printf(

@@ -17,7 +17,7 @@
 #include <string>
 
 #include "core/byzcast_node.h"
-#include "des/timer.h"
+#include "net/timer.h"
 
 namespace byzcast::byz {
 
@@ -79,11 +79,6 @@ class VerboseAdversary final : public core::ByzcastNode {
                    core::ProtocolConfig config,
                    stats::Metrics* metrics = nullptr,
                    des::SimDuration spam_period = des::millis(5));
-  VerboseAdversary(des::Simulator& sim, radio::Radio& radio,
-                   const crypto::Pki& pki, crypto::Signer signer,
-                   core::ProtocolConfig config,
-                   stats::Metrics* metrics = nullptr,
-                   des::SimDuration spam_period = des::millis(5));
   void start() override;
   void stop() override;
 
@@ -102,12 +97,6 @@ class VerboseAdversary final : public core::ByzcastNode {
 class ForgerAdversary final : public core::ByzcastNode {
  public:
   ForgerAdversary(net::Env& env, net::Transport& transport,
-                  const crypto::Pki& pki, crypto::Signer signer,
-                  core::ProtocolConfig config,
-                  stats::Metrics* metrics = nullptr,
-                  des::SimDuration forge_period = des::millis(500),
-                  NodeId victim = 0);
-  ForgerAdversary(des::Simulator& sim, radio::Radio& radio,
                   const crypto::Pki& pki, crypto::Signer signer,
                   core::ProtocolConfig config,
                   stats::Metrics* metrics = nullptr,
@@ -158,11 +147,6 @@ class SelectiveForwarder final : public core::ByzcastNode {
                      core::ProtocolConfig config,
                      stats::Metrics* metrics = nullptr,
                      double forward_prob = 0.3);
-  SelectiveForwarder(des::Simulator& sim, radio::Radio& radio,
-                     const crypto::Pki& pki, crypto::Signer signer,
-                     core::ProtocolConfig config,
-                     stats::Metrics* metrics = nullptr,
-                     double forward_prob = 0.3);
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
@@ -180,10 +164,6 @@ class SelectiveForwarder final : public core::ByzcastNode {
 class DelayedMuteAdversary final : public core::ByzcastNode {
  public:
   DelayedMuteAdversary(net::Env& env, net::Transport& transport,
-                       const crypto::Pki& pki, crypto::Signer signer,
-                       core::ProtocolConfig config, stats::Metrics* metrics,
-                       des::SimDuration onset);
-  DelayedMuteAdversary(des::Simulator& sim, radio::Radio& radio,
                        const crypto::Pki& pki, crypto::Signer signer,
                        core::ProtocolConfig config, stats::Metrics* metrics,
                        des::SimDuration onset);
@@ -209,10 +189,6 @@ class DelayedMuteAdversary final : public core::ByzcastNode {
 class TransientMuteAdversary final : public core::ByzcastNode {
  public:
   TransientMuteAdversary(net::Env& env, net::Transport& transport,
-                         const crypto::Pki& pki, crypto::Signer signer,
-                         core::ProtocolConfig config, stats::Metrics* metrics,
-                         des::SimDuration onset, des::SimDuration duration);
-  TransientMuteAdversary(des::Simulator& sim, radio::Radio& radio,
                          const crypto::Pki& pki, crypto::Signer signer,
                          core::ProtocolConfig config, stats::Metrics* metrics,
                          des::SimDuration onset, des::SimDuration duration);
@@ -244,10 +220,6 @@ class HelloLiarAdversary final : public core::ByzcastNode {
                      const crypto::Pki& pki, crypto::Signer signer,
                      core::ProtocolConfig config, stats::Metrics* metrics,
                      NodeId victim);
-  HelloLiarAdversary(des::Simulator& sim, radio::Radio& radio,
-                     const crypto::Pki& pki, crypto::Signer signer,
-                     core::ProtocolConfig config, stats::Metrics* metrics,
-                     NodeId victim);
 
  protected:
   void on_hello_tick() override;
@@ -262,10 +234,6 @@ class HelloLiarAdversary final : public core::ByzcastNode {
 class ReplayerAdversary final : public core::ByzcastNode {
  public:
   ReplayerAdversary(net::Env& env, net::Transport& transport,
-                    const crypto::Pki& pki, crypto::Signer signer,
-                    core::ProtocolConfig config, stats::Metrics* metrics,
-                    des::SimDuration replay_period);
-  ReplayerAdversary(des::Simulator& sim, radio::Radio& radio,
                     const crypto::Pki& pki, crypto::Signer signer,
                     core::ProtocolConfig config, stats::Metrics* metrics,
                     des::SimDuration replay_period);
@@ -286,15 +254,6 @@ class ReplayerAdversary final : public core::ByzcastNode {
 /// ByzcastNode.
 std::unique_ptr<core::ByzcastNode> make_adversary(
     AdversaryKind kind, net::Env& env, net::Transport& transport,
-    const crypto::Pki& pki, crypto::Signer signer,
-    core::ProtocolConfig config, stats::Metrics* metrics = nullptr,
-    const AdversaryParams& params = {});
-
-/// Deprecated DES-only overload: routes through the ByzcastNode
-/// (Simulator&, Radio&) shims so existing simulator call sites compile
-/// unchanged.
-std::unique_ptr<core::ByzcastNode> make_adversary(
-    AdversaryKind kind, des::Simulator& sim, radio::Radio& radio,
     const crypto::Pki& pki, crypto::Signer signer,
     core::ProtocolConfig config, stats::Metrics* metrics = nullptr,
     const AdversaryParams& params = {});

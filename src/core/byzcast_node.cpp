@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/sim_backend.h"
 #include "overlay/cds_overlay.h"
 #include "overlay/misb_overlay.h"
 #include "util/log.h"
@@ -97,19 +96,6 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
                                                 env.split_rng());
   }
 }
-
-ByzcastNode::ByzcastNode(std::unique_ptr<net::Transport> owned, net::Env& env,
-                         const crypto::Pki& pki, crypto::Signer signer,
-                         ProtocolConfig config, stats::Metrics* metrics)
-    : ByzcastNode(env, *owned, pki, signer, config, metrics) {
-  owned_transport_ = std::move(owned);
-}
-
-ByzcastNode::ByzcastNode(des::Simulator& sim, radio::Radio& radio,
-                         const crypto::Pki& pki, crypto::Signer signer,
-                         ProtocolConfig config, stats::Metrics* metrics)
-    : ByzcastNode(std::make_unique<net::SimTransport>(radio), sim, pki, signer,
-                  config, metrics) {}
 
 void ByzcastNode::start() {
   running_ = true;

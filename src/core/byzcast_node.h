@@ -29,7 +29,6 @@
 #include "core/message.h"
 #include "core/message_store.h"
 #include "crypto/signature.h"
-#include "des/simulator.h"
 #include "net/env.h"
 #include "net/timer.h"
 #include "net/transport.h"
@@ -40,7 +39,6 @@
 #include "obs/msg_trace.h"
 #include "overlay/neighbor_table.h"
 #include "overlay/overlay.h"
-#include "radio/radio.h"
 #include "stats/metrics.h"
 #include "sync/backoff.h"
 #include "sync/sync.h"
@@ -55,21 +53,12 @@ class ByzcastNode : public obs::GaugeSource {
       std::function<void(const MessageId&, std::span<const std::uint8_t>)>;
 
   /// `env`, `transport` and `pki` must outlive the node. Installs itself
-  /// as the transport's receive handler. This is the primary constructor:
-  /// the node is backend-agnostic and runs identically over the DES
-  /// (des::Simulator + net::SimTransport) and live sockets (net::IoLoop +
-  /// net::UdpTransport).
+  /// as the transport's receive handler. The node is backend-agnostic and
+  /// runs identically over the DES (des::Simulator + radio::Radio) and
+  /// live sockets (net::IoLoop + net::UdpTransport).
   ByzcastNode(net::Env& env, net::Transport& transport, const crypto::Pki& pki,
               crypto::Signer signer, ProtocolConfig config,
               stats::Metrics* metrics = nullptr);
-
-  /// Deprecated DES-only shim: wraps `radio` in an owned net::SimTransport
-  /// and delegates. Kept so the large existing fleet of simulator call
-  /// sites (network builder, tests, benches) compiles unchanged; new code
-  /// should use the Env/Transport constructor.
-  ByzcastNode(des::Simulator& sim, radio::Radio& radio,
-              const crypto::Pki& pki, crypto::Signer signer,
-              ProtocolConfig config, stats::Metrics* metrics = nullptr);
   virtual ~ByzcastNode() = default;
   ByzcastNode(const ByzcastNode&) = delete;
   ByzcastNode& operator=(const ByzcastNode&) = delete;
@@ -278,14 +267,6 @@ class ByzcastNode : public obs::GaugeSource {
   };
   std::map<MessageId, PendingMissing> pending_missing_;
   void retry_pending_requests();
-  /// Delegation target of the deprecated shim: runs the primary
-  /// constructor against *owned, then takes ownership of it.
-  ByzcastNode(std::unique_ptr<net::Transport> owned, net::Env& env,
-              const crypto::Pki& pki, crypto::Signer signer,
-              ProtocolConfig config, stats::Metrics* metrics);
-  /// Backing transport for the deprecated (Simulator&, Radio&) shim;
-  /// null when the caller supplied the transport.
-  std::unique_ptr<net::Transport> owned_transport_;
   /// Range-sync session endpoint (DESIGN.md §11); allocated only when
   /// config_.sync.enabled.
   std::unique_ptr<sync::SyncManager> sync_;

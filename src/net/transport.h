@@ -8,9 +8,9 @@
 // transmitter id — so the entire zero-copy parse/retransmit pipeline
 // (DESIGN.md §5a) is backend-agnostic. Two implementations:
 //
-//   net::SimTransport (net/sim_backend.h) — forwards to a radio::Radio on
-//     the simulated Medium; sender identity is enforced by the medium
-//     (radio hardware cannot be spoofed).
+//   radio::Radio (radio/radio.h) — the DES endpoint on the simulated
+//     Medium, as des::Simulator is the DES net::Env; sender identity is
+//     enforced by the medium (radio hardware cannot be spoofed).
 //   net::UdpTransport (net/udp_backend.h) — fans a datagram out to a
 //     configured peer list over UDP sockets; sender identity is a header
 //     field (see net/datagram.h for what that does and does not promise).

@@ -37,7 +37,7 @@ Medium::Medium(des::Simulator& sim,
 }
 
 void Medium::register_radio(Radio& radio) {
-  NodeId id = radio.id();
+  NodeId id = radio.local_id();
   if (id >= radios_.size()) {
     radios_.resize(id + 1, nullptr);
     attached_.resize(id + 1, true);

@@ -20,7 +20,7 @@
 
 #include "core/message.h"
 #include "des/time.h"
-#include "des/timer.h"
+#include "net/timer.h"
 #include "sim/fault.h"
 #include "util/node_id.h"
 
@@ -60,7 +60,7 @@ class FaultInjector {
   Network& net_;
   FaultSchedule schedule_;
   std::vector<CatchupWatch> watches_;
-  des::PeriodicTimer poll_timer_;
+  net::PeriodicTimer poll_timer_;
 };
 
 }  // namespace byzcast::sim

@@ -18,7 +18,6 @@
 #include "des/simulator.h"
 #include "mobility/mobility_model.h"
 #include "net/impairment.h"
-#include "net/sim_backend.h"
 #include "obs/timeline.h"
 #include "radio/medium.h"
 #include "radio/radio.h"
@@ -136,10 +135,10 @@ class Network {
   std::unique_ptr<radio::Medium> medium_;
   std::vector<std::unique_ptr<mobility::MobilityModel>> mobility_;
   std::vector<std::unique_ptr<radio::Radio>> radios_;
-  /// Present only when config.impairment.any(): per-node SimTransport +
-  /// ImpairedTransport the byzcast nodes run over (DESIGN.md §14). Empty
-  /// vectors otherwise, so unimpaired runs construct nothing extra.
-  std::vector<std::unique_ptr<net::SimTransport>> sim_transports_;
+  /// Present only when impairment is configured: the per-node
+  /// ImpairedTransport around each radio the byzcast nodes run over
+  /// (DESIGN.md §14). Empty otherwise, so unimpaired runs construct
+  /// nothing extra.
   std::vector<std::unique_ptr<net::ImpairedTransport>> impaired_;
 
   std::vector<std::unique_ptr<core::ByzcastNode>> byzcast_nodes_;
@@ -152,6 +151,10 @@ class Network {
   std::vector<NodeId> senders_;
   /// Samples every mobility model into hot_.positions at now().
   void sample_positions() const;
+  /// Registers node `id`'s key, builds its byzcast node of kind
+  /// kinds_[id] over radios_[id] (impaired when configured), and starts
+  /// it. The one assembly path for seed members and joiners alike.
+  void add_byzcast_node(NodeId id, std::size_t targets);
   /// Flat SoA per-node state (positions, ranges, liveness bitsets) plus
   /// arena scratch for the analyses. Mutable: positions and scratch are
   /// caches refreshed from const analysis entry points.

@@ -36,8 +36,8 @@ TEST(Adversary, KindNamesRoundTrip) {
        {AdversaryKind::kNone, AdversaryKind::kMute, AdversaryKind::kVerbose,
         AdversaryKind::kForger, AdversaryKind::kLiar,
         AdversaryKind::kFakeGossiper, AdversaryKind::kSelectiveForwarder,
-        AdversaryKind::kDelayedMute, AdversaryKind::kHelloLiar,
-        AdversaryKind::kReplayer}) {
+        AdversaryKind::kDelayedMute, AdversaryKind::kTransientMute,
+        AdversaryKind::kHelloLiar, AdversaryKind::kReplayer}) {
     EXPECT_EQ(byz::adversary_kind_from_name(byz::adversary_kind_name(kind)),
               kind);
   }

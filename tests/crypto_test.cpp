@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "crypto/hash.h"
-#include "crypto/schnorr.h"
 #include "crypto/signature.h"
 #include "crypto/siphash.h"
 #include "util/bytes.h"
@@ -124,46 +123,6 @@ TEST(Signature, DifferentNodesProduceDifferentTags) {
   Signer b = pki.register_node(2);
   auto msg = util::to_bytes("same content");
   EXPECT_NE(a.sign(msg).tag, b.sign(msg).tag);
-}
-
-// ---------------------------------------------------------------------------
-// Toy Schnorr
-// ---------------------------------------------------------------------------
-
-TEST(Schnorr, SignVerifyRoundTrip) {
-  des::Rng rng(11);
-  SchnorrKeyPair keys = schnorr_keygen(rng);
-  auto msg = util::to_bytes("asymmetric hello");
-  SchnorrSignature sig = schnorr_sign(keys.sec, msg, rng);
-  EXPECT_TRUE(schnorr_verify(keys.pub, msg, sig));
-}
-
-TEST(Schnorr, RejectsTamperingAndWrongKey) {
-  des::Rng rng(12);
-  SchnorrKeyPair keys = schnorr_keygen(rng);
-  SchnorrKeyPair other = schnorr_keygen(rng);
-  auto msg = util::to_bytes("message");
-  SchnorrSignature sig = schnorr_sign(keys.sec, msg, rng);
-
-  auto tampered = msg;
-  tampered[0] ^= 1;
-  EXPECT_FALSE(schnorr_verify(keys.pub, tampered, sig));
-  EXPECT_FALSE(schnorr_verify(other.pub, msg, sig));
-
-  SchnorrSignature broken = sig;
-  broken.s ^= 1;
-  EXPECT_FALSE(schnorr_verify(keys.pub, msg, broken));
-}
-
-TEST(Schnorr, ManyKeysManyMessages) {
-  des::Rng rng(13);
-  for (int i = 0; i < 20; ++i) {
-    SchnorrKeyPair keys = schnorr_keygen(rng);
-    std::vector<std::uint8_t> msg{static_cast<std::uint8_t>(i),
-                                  static_cast<std::uint8_t>(i * 3)};
-    SchnorrSignature sig = schnorr_sign(keys.sec, msg, rng);
-    EXPECT_TRUE(schnorr_verify(keys.pub, msg, sig)) << i;
-  }
 }
 
 }  // namespace

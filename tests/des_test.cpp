@@ -8,10 +8,13 @@
 #include "des/event_queue.h"
 #include "des/rng.h"
 #include "des/simulator.h"
-#include "des/timer.h"
+#include "net/timer.h"
 
 namespace byzcast::des {
 namespace {
+
+using net::OneShotTimer;
+using net::PeriodicTimer;
 
 // ---------------------------------------------------------------------------
 // Rng

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
+#include "net/impairment.h"
 #include "radio/medium.h"
 #include "sim/fault_injector.h"
 #include "sim/runner.h"
@@ -262,6 +264,33 @@ TEST(FaultInjection, JoinedNodeParticipatesAndLeaverGoesSilent) {
   for (const auto& [key, rec] : network.metrics().records()) {
     EXPECT_EQ(rec.accepted.count(fresh), 0u);
   }
+}
+
+/// Joins node 9 into the grid, then broadcasts twice from node 0; returns
+/// how many messages the joiner accepted. `matrix` impairs the fleet.
+std::size_t joiner_accepts(const std::string& matrix) {
+  sim::ScenarioConfig config = grid_scenario();
+  config.num_broadcasts = 0;  // driven manually below
+  config.impairment_matrix = net::parse_impairment_matrix(matrix);
+  sim::Network network(config);
+  des::Simulator& sim = network.simulator();
+  sim.run_until(des::seconds(6));
+  NodeId fresh = network.join_node({120, 120});
+  EXPECT_EQ(fresh, 9u);
+  sim.run_until(des::seconds(8));
+  network.broadcast_from(0, sim::make_payload(0, 64));
+  network.broadcast_from(0, sim::make_payload(1, 64));
+  sim.run_until(des::seconds(20));
+  EXPECT_EQ(network.impairment_stats().dropped > 0, !matrix.empty());
+  return network.byzcast_node(fresh)->store().accepted_count();
+}
+
+TEST(FaultInjection, JoinerRunsOverTheImpairmentMatrix) {
+  // The joiner is assembled like a seed member: a matrix rule naming its
+  // id wraps its radio, so with every inbound link dropped it hears
+  // nothing; the same joiner without the matrix gets both broadcasts.
+  EXPECT_EQ(joiner_accepts("9<-* drop=1"), 0u);
+  EXPECT_EQ(joiner_accepts(""), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 // Tests for the net/ layer (DESIGN.md §13, §14): datagram wire format,
-// IoLoop timers, the live UDP transport on loopback, the guarantee
-// that the explicit Env/Transport wiring is byte-identical to the
-// legacy Simulator/Radio shim ctors, the deterministic impairment
-// decorator, and the PeerHealth liveness tracker.
+// IoLoop timers, the live UDP transport on loopback, the deterministic
+// impairment decorator, and the PeerHealth liveness tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,22 +10,16 @@
 #include <unistd.h>
 
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
-#include "core/byzcast_node.h"
 #include "des/simulator.h"
-#include "mobility/static_mobility.h"
 #include "net/datagram.h"
 #include "net/impairment.h"
 #include "net/io_loop.h"
 #include "net/peer_health.h"
-#include "net/sim_backend.h"
 #include "net/timer.h"
 #include "net/udp_backend.h"
-#include "radio/medium.h"
-#include "radio/propagation.h"
 #include "sim/network_builder.h"
 #include "sim/runner.h"
 
@@ -274,94 +266,6 @@ TEST(UdpTransportTest, HeldFramesDoNotPinReceiveBuffers) {
   const long grown_kb = peak_rss_kb() - before;
   EXPECT_LT(grown_kb, 16 * 1024) << "holding " << held.size() << " frames";
   EXPECT_EQ(receiver.datagrams_received(), kFrames);
-}
-
-// --- SimBackend equivalence ------------------------------------------------
-
-using DeliverySet = std::set<std::pair<NodeId, std::uint32_t>>;
-
-struct SimRun {
-  std::vector<DeliverySet> delivered;
-  std::uint64_t events = 0;
-};
-
-/// Runs a 4-node all-in-range broadcast scenario. `explicit_wiring` picks
-/// between the legacy (Simulator&, Radio&) shim ctor and the primary
-/// (Env&, Transport&) ctor over a net::SimTransport — the two must be
-/// observationally identical, event for event.
-SimRun run_scenario(bool explicit_wiring) {
-  constexpr std::size_t kN = 4;
-  des::Simulator sim(7);
-  stats::Metrics metrics;
-  crypto::Pki pki{des::Rng(42)};
-  radio::MediumConfig mc;
-  mc.collisions_enabled = false;
-  mc.base_loss_prob = 0.0;
-  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(), mc,
-                       &metrics);
-
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
-  std::vector<std::unique_ptr<radio::Radio>> radios;
-  std::vector<std::unique_ptr<SimTransport>> transports;
-  std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
-  SimRun run;
-  run.delivered.resize(kN);
-  for (NodeId id = 0; id < kN; ++id) {
-    mobility.push_back(std::make_unique<mobility::StaticMobility>(
-        geo::Vec2{static_cast<double>(id), 0}));
-    radios.push_back(
-        std::make_unique<radio::Radio>(medium, id, *mobility.back(), 100));
-    if (explicit_wiring) {
-      transports.push_back(std::make_unique<SimTransport>(*radios.back()));
-      nodes.push_back(std::make_unique<core::ByzcastNode>(
-          sim, *transports.back(), pki, pki.register_node(id),
-          core::ProtocolConfig{}, &metrics));
-    } else {
-      nodes.push_back(std::make_unique<core::ByzcastNode>(
-          sim, *radios.back(), pki, pki.register_node(id),
-          core::ProtocolConfig{}, &metrics));
-    }
-    nodes.back()->set_accept_handler(
-        [&run, id](const core::MessageId& mid,
-                   std::span<const std::uint8_t>) {
-          run.delivered[id].emplace(mid.origin, mid.seq);
-        });
-    nodes.back()->start();
-  }
-
-  for (std::size_t i = 0; i < 3; ++i) {
-    sim.schedule_at(des::seconds(2) + des::millis(500) * i, [&, i] {
-      nodes[0]->broadcast(sim::make_payload(i, 32));
-    });
-  }
-  sim.run_until(des::seconds(8));
-  run.events = sim.events_executed();
-  return run;
-}
-
-TEST(SimBackendTest, ExplicitWiringMatchesLegacyShim) {
-  SimRun shim = run_scenario(false);
-  SimRun explicit_run = run_scenario(true);
-  // Same deliveries AND the same number of simulator events: the shim
-  // must not perturb the event stream in any way (determinism hashes in
-  // determinism_test.cpp depend on this).
-  EXPECT_EQ(shim.delivered, explicit_run.delivered);
-  EXPECT_EQ(shim.events, explicit_run.events);
-  for (NodeId id = 1; id < 4; ++id) {
-    EXPECT_EQ(shim.delivered[id].size(), 3u) << "node " << id;
-  }
-}
-
-TEST(SimBackendTest, TransportExposesRadioIdentity) {
-  des::Simulator sim(1);
-  stats::Metrics metrics;
-  radio::MediumConfig mc;
-  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(), mc,
-                       &metrics);
-  mobility::StaticMobility still({0, 0});
-  radio::Radio radio(medium, 5, still, 100);
-  SimTransport transport(radio);
-  EXPECT_EQ(transport.local_id(), 5u);
 }
 
 // --- ImpairedTransport -----------------------------------------------------

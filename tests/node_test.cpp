@@ -10,6 +10,7 @@
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
 #include "radio/medium.h"
+#include "radio/radio.h"
 
 namespace byzcast::core {
 namespace {

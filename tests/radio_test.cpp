@@ -4,6 +4,7 @@
 
 #include "des/simulator.h"
 #include "mobility/static_mobility.h"
+#include "net/transport.h"
 #include "radio/medium.h"
 #include "radio/propagation.h"
 #include "radio/radio.h"
@@ -66,6 +67,24 @@ TEST_F(MediumTest, DeliversWithinRangeOnly) {
   EXPECT_TRUE(received_[0].empty());  // no self-reception
   EXPECT_EQ(received_[1][0].from, 0u);
   EXPECT_EQ(received_[1][0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
+}
+
+TEST_F(MediumTest, RadioIsTheDesTransport) {
+  build(quiet_config());
+  NodeId a = add_node({0, 0});
+  NodeId b = add_node({50, 0});   // in range
+  NodeId c = add_node({150, 0});  // out of range
+  net::Transport& sender = *radios_[a];
+  net::Transport& receiver = *radios_[b];
+  EXPECT_EQ(sender.local_id(), a);
+  EXPECT_EQ(receiver.local_id(), b);
+  std::vector<NodeId> heard_from;
+  receiver.set_receive_handler(
+      [&heard_from](const Frame& frame) { heard_from.push_back(frame.sender); });
+  sender.send({4, 5, 6});
+  sim_.run_until(des::seconds(1));
+  EXPECT_EQ(heard_from, std::vector<NodeId>{a});
+  EXPECT_TRUE(received_[c].empty());
 }
 
 TEST_F(MediumTest, DeliveryDelayIsAirtimePlusLatency) {
