@@ -57,12 +57,12 @@ void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
   }
 }
 
-void MuteAdversary::handle_gossip(core::GossipMsg& msg, NodeId from) {
+void MuteAdversary::handle_gossip(const core::GossipMsg& msg, NodeId from) {
   // Keep consuming beacons — including ones piggybacked on gossip — so
   // our own HELLOs report a live neighbour list and the election keeps
   // trusting us. A mute node that ignores beacons betrays itself without
   // the failure detector's help (its fabricated HELLOs go stale).
-  if (msg.hello) handle_hello(std::move(*msg.hello), from);
+  if (msg.hello) handle_hello(*msg.hello, from);
 }
 void MuteAdversary::handle_request(const core::RequestMsg&, NodeId) {}
 void MuteAdversary::handle_find(const core::FindMissingMsg&, NodeId) {}
@@ -188,7 +188,7 @@ void LiarAdversary::on_hello_tick() {
 // --------------------------------------------------------------------------
 // FakeGossiperAdversary
 // --------------------------------------------------------------------------
-void FakeGossiperAdversary::handle_gossip(core::GossipMsg& msg,
+void FakeGossiperAdversary::handle_gossip(const core::GossipMsg& msg,
                                           NodeId /*from*/) {
   // Relay every valid entry regardless of whether we hold the message
   // (the honest rule forbids this), and never request the data.
@@ -255,13 +255,13 @@ void DelayedMuteAdversary::handle_data(const core::DataMsg& msg,
   }
 }
 
-void DelayedMuteAdversary::handle_gossip(core::GossipMsg& msg,
+void DelayedMuteAdversary::handle_gossip(const core::GossipMsg& msg,
                                          NodeId from) {
   if (!faulty()) {
     ByzcastNode::handle_gossip(msg, from);
   } else if (msg.hello) {
     // Stay credible (see MuteAdversary).
-    handle_hello(std::move(*msg.hello), from);
+    handle_hello(*msg.hello, from);
   }
 }
 
@@ -314,13 +314,13 @@ void TransientMuteAdversary::handle_data(const core::DataMsg& msg,
   }
 }
 
-void TransientMuteAdversary::handle_gossip(core::GossipMsg& msg,
+void TransientMuteAdversary::handle_gossip(const core::GossipMsg& msg,
                                            NodeId from) {
   if (!faulty()) {
     ByzcastNode::handle_gossip(msg, from);
   } else if (msg.hello) {
     // Stay credible (see MuteAdversary).
-    handle_hello(std::move(*msg.hello), from);
+    handle_hello(*msg.hello, from);
   }
 }
 

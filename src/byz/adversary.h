@@ -62,7 +62,7 @@ class MuteAdversary final : public core::ByzcastNode {
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(core::GossipMsg& msg, NodeId from) override;
+  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
   void handle_request(const core::RequestMsg& msg, NodeId from) override;
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
   void on_hello_tick() override;
@@ -133,7 +133,7 @@ class FakeGossiperAdversary final : public core::ByzcastNode {
   using ByzcastNode::ByzcastNode;
 
  protected:
-  void handle_gossip(core::GossipMsg& msg, NodeId from) override;
+  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
   void handle_request(const core::RequestMsg& msg, NodeId from) override;
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
 };
@@ -170,7 +170,7 @@ class DelayedMuteAdversary final : public core::ByzcastNode {
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(core::GossipMsg& msg, NodeId from) override;
+  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
   void handle_request(const core::RequestMsg& msg, NodeId from) override;
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
   void on_hello_tick() override;
@@ -195,7 +195,7 @@ class TransientMuteAdversary final : public core::ByzcastNode {
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(core::GossipMsg& msg, NodeId from) override;
+  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
   void handle_request(const core::RequestMsg& msg, NodeId from) override;
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
   void on_hello_tick() override;

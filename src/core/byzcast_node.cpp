@@ -18,6 +18,13 @@ fd::HeaderPattern data_pattern(const MessageId& id) {
   return fd::HeaderPattern{static_cast<std::uint8_t>(MsgType::kData),
                            id.origin, id.seq};
 }
+
+/// `verify`'s verdict for `signed_part`, shared with the other receivers
+/// of `frame` when the part belongs to it.
+template <typename Verify>
+bool judged(DecodedFrame* frame, const void* signed_part, Verify verify) {
+  return frame != nullptr ? frame->judge(signed_part, verify) : verify();
+}
 }  // namespace
 
 namespace {
@@ -203,14 +210,25 @@ void ByzcastNode::send_frame(stats::MsgKind kind, util::Buffer bytes,
 }
 
 bool ByzcastNode::verify_data(const DataMsg& msg) const {
-  return pki_.verify(msg.id.origin, data_sign_bytes(msg.id, msg.payload),
-                     msg.sig) &&
-         pki_.verify(msg.id.origin, gossip_sign_bytes(msg.id), msg.gossip_sig);
+  return judged(decoding_.get(), &msg, [&] {
+    return pki_.verify(msg.id.origin, data_sign_bytes(msg.id, msg.payload),
+                       msg.sig) &&
+           pki_.verify(msg.id.origin, gossip_sign_bytes(msg.id),
+                       msg.gossip_sig);
+  });
 }
 
 bool ByzcastNode::verify_gossip_entry(const GossipEntry& entry) const {
-  return pki_.verify(entry.id.origin, gossip_sign_bytes(entry.id),
-                     entry.origin_sig);
+  return judged(decoding_.get(), &entry, [&] {
+    return pki_.verify(entry.id.origin, gossip_sign_bytes(entry.id),
+                       entry.origin_sig);
+  });
+}
+
+bool ByzcastNode::verify_hello(const HelloMsg& hello) const {
+  return judged(decoding_.get(), &hello, [&] {
+    return pki_.verify(hello.from, hello_sign_bytes(hello), hello.sig);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -246,15 +264,20 @@ void ByzcastNode::on_frame(const radio::Frame& frame) {
   // A frame already in flight when the node crashed may still be
   // delivered by the medium this tick; a halted node hears nothing.
   if (!running_) return;
-  std::optional<Packet> packet = parse_packet_shared(frame.payload);
-  if (!packet) {
+  // Every receiver of one transmission shares its decode and signature
+  // verdicts (DESIGN.md §16); the handlers below stay per receiver.
+  std::shared_ptr<DecodedFrame> decoded = decode_frame(frame.payload, pki_);
+  if (!decoded->packet()) {
     // Unparseable bytes from a known transmitter: locally observable
     // protocol violation.
     suspect(frame.sender, fd::SuspicionReason::kProtocolViolation);
     return;
   }
+  // A handler may deliver another frame synchronously; the outer frame
+  // comes back into force when it returns.
+  std::shared_ptr<DecodedFrame> outer = std::exchange(decoding_, decoded);
   std::visit(
-      [this, &frame](auto& msg) {
+      [this, &frame](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, DataMsg>) {
           handle_data(msg, frame.sender);
@@ -265,7 +288,7 @@ void ByzcastNode::on_frame(const radio::Frame& frame) {
         } else if constexpr (std::is_same_v<T, FindMissingMsg>) {
           handle_find(msg, frame.sender);
         } else if constexpr (std::is_same_v<T, HelloMsg>) {
-          handle_hello(std::move(msg), frame.sender);
+          handle_hello(msg, frame.sender);
         } else if constexpr (std::is_same_v<T, FrontierMsg>) {
           if (sync_) sync_->on_frontier(msg, frame.sender);
         } else if constexpr (std::is_same_v<T, BulkPullMsg>) {
@@ -274,7 +297,8 @@ void ByzcastNode::on_frame(const radio::Frame& frame) {
           if (sync_) sync_->on_bulk_reply(msg, frame.sender);
         }
       },
-      *packet);
+      *decoded->packet());
+  decoding_ = std::move(outer);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,10 +406,8 @@ std::vector<NodeId> ByzcastNode::sync_candidates() const {
 // ---------------------------------------------------------------------------
 // Upon receive(gossip_message, GOSSIP) sent by p_j (Figure 3 lines 26-41)
 // ---------------------------------------------------------------------------
-void ByzcastNode::handle_gossip(GossipMsg& msg, NodeId from) {
-  if (msg.hello) {
-    handle_hello(std::move(*msg.hello), from);  // piggybacked beacon
-  }
+void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
+  if (msg.hello) handle_hello(*msg.hello, from);  // piggybacked beacon
   for (const GossipEntry& entry : msg.entries) {
     fd::MessageHeader header = header_of(MsgType::kGossip, entry.id);
     mute_.observe(header, from);
@@ -569,11 +591,10 @@ void ByzcastNode::reply_with_stored(const MessageId& id_, std::uint8_t ttl) {
 // ---------------------------------------------------------------------------
 // Overlay maintenance (§3.3)
 // ---------------------------------------------------------------------------
-void ByzcastNode::handle_hello(HelloMsg&& msg, NodeId from) {
+void ByzcastNode::handle_hello(const HelloMsg& msg, NodeId from) {
   // The claimed identity must match the transmitting radio; HELLOs are
   // signed, so a mismatch is either forgery or replay.
-  if (msg.from != from ||
-      !pki_.verify(msg.from, hello_sign_bytes(msg), msg.sig)) {
+  if (msg.from != from || !verify_hello(msg)) {
     suspect(from, fd::SuspicionReason::kBadSignature);
     return;
   }
@@ -582,9 +603,8 @@ void ByzcastNode::handle_hello(HelloMsg&& msg, NodeId from) {
   mute_.observe(header, from);
   verbose_.observe(header, from);
 
-  table_.record(from, msg.active, msg.dominator, std::move(msg.neighbors),
-                std::move(msg.dominator_neighbors), env_.now(),
-                std::move(msg.stability));
+  table_.record(from, msg.active, msg.dominator, msg.neighbors,
+                msg.dominator_neighbors, env_.now(), msg.stability);
   if (config_.trust_propagation) {
     for (NodeId suspectee : msg.suspects) {
       if (suspectee == id()) continue;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/decoded_frame.h"
 #include "core/message.h"
 #include "core/message_store.h"
 #include "crypto/signature.h"
@@ -141,14 +142,13 @@ class ByzcastNode : public obs::GaugeSource {
   // --- dispatch (the FD interceptor of Figure 1) ---------------------------
   virtual void on_frame(const radio::Frame& frame);
   // --- the five upon-receive handlers of Figures 3/4 -----------------------
-  // The GOSSIP and HELLO handlers may consume the freshly parsed packet:
-  // a HELLO (standalone or piggybacked on a GOSSIP) moves its lists into
-  // the neighbour table instead of copying them.
+  // The packet they read is shared by every receiver of the transmission
+  // (core/decoded_frame.h), hence const throughout.
   virtual void handle_data(const DataMsg& msg, NodeId from);
-  virtual void handle_gossip(GossipMsg& msg, NodeId from);
+  virtual void handle_gossip(const GossipMsg& msg, NodeId from);
   virtual void handle_request(const RequestMsg& msg, NodeId from);
   virtual void handle_find(const FindMissingMsg& msg, NodeId from);
-  virtual void handle_hello(HelloMsg&& msg, NodeId from);
+  virtual void handle_hello(const HelloMsg& msg, NodeId from);
   // --- periodic tasks -------------------------------------------------------
   virtual void on_gossip_tick();
   virtual void on_hello_tick();
@@ -166,9 +166,12 @@ class ByzcastNode : public obs::GaugeSource {
   /// Sends DATA for a stored message with the given ttl, honouring the
   /// reply-suppression window. No-op if not stored.
   void reply_with_stored(const MessageId& id, std::uint8_t ttl);
-  /// Verifies both signatures of a DATA message.
+  /// Verifies both signatures of a DATA message. Like every verify below,
+  /// a message of the frame being dispatched reuses the verdict another
+  /// receiver of the same transmission already computed.
   [[nodiscard]] bool verify_data(const DataMsg& msg) const;
   [[nodiscard]] bool verify_gossip_entry(const GossipEntry& entry) const;
+  [[nodiscard]] bool verify_hello(const HelloMsg& hello) const;
   /// Accepts + stores + forwards + gossips a verified DATA message
   /// (the first-receipt body of Figure 3 lines 7-21).
   void accept_and_forward(const DataMsg& msg, NodeId from);
@@ -211,6 +214,9 @@ class ByzcastNode : public obs::GaugeSource {
   trace::TraceRecorder* trace_ = nullptr;
   obs::MsgTraceRecorder* msg_trace_ = nullptr;
   des::Rng rng_;
+  /// The frame on_frame is dispatching (null between frames); held so a
+  /// re-entrant delivery cannot free the packet the handlers read.
+  std::shared_ptr<DecodedFrame> decoding_;
 
   MessageStore store_;
   GossipQueue gossip_queue_;

@@ -140,6 +140,81 @@ std::optional<std::vector<PullRange>> read_pull_ranges(util::ByteReader& r) {
   return ranges;
 }
 
+// Exact encoded sizes, so that every writer below reserves its bytes up
+// front and allocates once instead of regrowing field by field.
+constexpr std::size_t kSigBytes = crypto::kWireSignatureBytes;
+constexpr std::size_t kEntryBytes = 8 + kSigBytes;  // msg_id ‖ origin sig
+
+std::size_t node_list_size(const std::vector<NodeId>& nodes) {
+  return 4 + 4 * nodes.size();
+}
+
+// The signed bodies: every field a signature covers except the leading
+// type byte. The *_sign_bytes functions prefix the type; serialize()
+// appends the signature.
+std::size_t body_size(const HelloMsg& m) {
+  return 4 + 1 + 1 + node_list_size(m.neighbors) +
+         node_list_size(m.dominator_neighbors) + node_list_size(m.suspects) +
+         4 + 8 * m.stability.size();
+}
+
+void write_body(util::ByteWriter& w, const HelloMsg& m) {
+  w.u32(m.from);
+  w.u8(m.active ? 1 : 0);
+  w.u8(m.dominator ? 1 : 0);
+  write_node_list(w, m.neighbors);
+  write_node_list(w, m.dominator_neighbors);
+  write_node_list(w, m.suspects);
+  write_stability(w, m.stability);
+}
+
+std::size_t body_size(const FrontierMsg& m) {
+  return 4 + 4 + 1 + 4 + 4 + 16 * m.entries.size();
+}
+
+void write_body(util::ByteWriter& w, const FrontierMsg& m) {
+  w.u32(m.from);
+  w.u32(m.target);
+  w.u8(m.response ? 1 : 0);
+  w.u32(m.nonce);
+  write_frontier_entries(w, m.entries);
+}
+
+std::size_t body_size(const BulkPullMsg& m) {
+  return 4 + 4 + 4 + 4 + 12 * m.ranges.size();
+}
+
+void write_body(util::ByteWriter& w, const BulkPullMsg& m) {
+  w.u32(m.from);
+  w.u32(m.target);
+  w.u32(m.nonce);
+  write_pull_ranges(w, m.ranges);
+}
+
+std::size_t body_size(const BulkReplyMsg& m) {
+  std::size_t size = 4 + 4 + 4 + 1 + 4;
+  for (const util::Buffer& blob : m.messages) size += 4 + blob.size();
+  return size;
+}
+
+void write_body(util::ByteWriter& w, const BulkReplyMsg& m) {
+  w.u32(m.from);
+  w.u32(m.target);
+  w.u32(m.nonce);
+  w.u8(m.last ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(m.messages.size()));
+  for (const util::Buffer& blob : m.messages) w.bytes(blob);
+}
+
+/// What a signature over `msg` covers: the type byte, then the body.
+template <typename Msg>
+std::vector<std::uint8_t> sign_bytes(MsgType type, const Msg& msg) {
+  util::ByteWriter w(1 + body_size(msg));
+  w.u8(static_cast<std::uint8_t>(type));
+  write_body(w, msg);
+  return w.take();
+}
+
 std::optional<HelloMsg> read_hello_fields(util::ByteReader& r) {
   HelloMsg hello;
   hello.from = r.u32();
@@ -331,49 +406,19 @@ GossipSignBytes gossip_sign_bytes(const MessageId& id) {
 }
 
 std::vector<std::uint8_t> hello_sign_bytes(const HelloMsg& hello) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kHello));
-  w.u32(hello.from);
-  w.u8(hello.active ? 1 : 0);
-  w.u8(hello.dominator ? 1 : 0);
-  write_node_list(w, hello.neighbors);
-  write_node_list(w, hello.dominator_neighbors);
-  write_node_list(w, hello.suspects);
-  write_stability(w, hello.stability);
-  return w.take();
+  return sign_bytes(MsgType::kHello, hello);
 }
 
 std::vector<std::uint8_t> frontier_sign_bytes(const FrontierMsg& msg) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kFrontier));
-  w.u32(msg.from);
-  w.u32(msg.target);
-  w.u8(msg.response ? 1 : 0);
-  w.u32(msg.nonce);
-  write_frontier_entries(w, msg.entries);
-  return w.take();
+  return sign_bytes(MsgType::kFrontier, msg);
 }
 
 std::vector<std::uint8_t> bulk_pull_sign_bytes(const BulkPullMsg& msg) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kBulkPull));
-  w.u32(msg.from);
-  w.u32(msg.target);
-  w.u32(msg.nonce);
-  write_pull_ranges(w, msg.ranges);
-  return w.take();
+  return sign_bytes(MsgType::kBulkPull, msg);
 }
 
 std::vector<std::uint8_t> bulk_reply_sign_bytes(const BulkReplyMsg& msg) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kBulkReply));
-  w.u32(msg.from);
-  w.u32(msg.target);
-  w.u32(msg.nonce);
-  w.u8(msg.last ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(msg.messages.size()));
-  for (const util::Buffer& blob : msg.messages) w.bytes(blob);
-  return w.take();
+  return sign_bytes(MsgType::kBulkReply, msg);
 }
 
 MsgType packet_type(const Packet& packet) {
@@ -397,9 +442,29 @@ MsgType packet_type(const Packet& packet) {
       packet);
 }
 
+std::size_t serialized_size(const Packet& packet) {
+  return 1 + std::visit(
+                 [](const auto& p) -> std::size_t {
+                   using T = std::decay_t<decltype(p)>;
+                   if constexpr (std::is_same_v<T, DataMsg>) {
+                     return 8 + 1 + 4 + p.payload.size() + 2 * kSigBytes;
+                   } else if constexpr (std::is_same_v<T, GossipMsg>) {
+                     return 4 + kEntryBytes * p.entries.size() + 1 +
+                            (p.hello ? body_size(*p.hello) + kSigBytes : 0);
+                   } else if constexpr (std::is_same_v<T, RequestMsg>) {
+                     return kEntryBytes + 4;
+                   } else if constexpr (std::is_same_v<T, FindMissingMsg>) {
+                     return kEntryBytes + 4 + 4 + 1;
+                   } else {
+                     return body_size(p) + kSigBytes;
+                   }
+                 },
+                 packet);
+}
+
 util::Buffer serialize(const Packet& packet) {
   BYZCAST_PROFILE(obs::ProfileCategory::kSerialize);
-  util::ByteWriter w;
+  util::ByteWriter w(serialized_size(packet));
   w.u8(static_cast<std::uint8_t>(packet_type(packet)));
   std::visit(
       [&w](const auto& p) {
@@ -415,13 +480,7 @@ util::Buffer serialize(const Packet& packet) {
           for (const GossipEntry& e : p.entries) write_entry(w, e);
           w.u8(p.hello.has_value() ? 1 : 0);
           if (p.hello) {
-            w.u32(p.hello->from);
-            w.u8(p.hello->active ? 1 : 0);
-            w.u8(p.hello->dominator ? 1 : 0);
-            write_node_list(w, p.hello->neighbors);
-            write_node_list(w, p.hello->dominator_neighbors);
-            write_node_list(w, p.hello->suspects);
-            write_stability(w, p.hello->stability);
+            write_body(w, *p.hello);
             crypto::write_wire_signature(w, p.hello->sig);
           }
         } else if constexpr (std::is_same_v<T, RequestMsg>) {
@@ -432,35 +491,8 @@ util::Buffer serialize(const Packet& packet) {
           w.u32(p.gossiper);
           w.u32(p.issuer);
           w.u8(p.ttl);
-        } else if constexpr (std::is_same_v<T, HelloMsg>) {
-          w.u32(p.from);
-          w.u8(p.active ? 1 : 0);
-          w.u8(p.dominator ? 1 : 0);
-          write_node_list(w, p.neighbors);
-          write_node_list(w, p.dominator_neighbors);
-          write_node_list(w, p.suspects);
-          write_stability(w, p.stability);
-          crypto::write_wire_signature(w, p.sig);
-        } else if constexpr (std::is_same_v<T, FrontierMsg>) {
-          w.u32(p.from);
-          w.u32(p.target);
-          w.u8(p.response ? 1 : 0);
-          w.u32(p.nonce);
-          write_frontier_entries(w, p.entries);
-          crypto::write_wire_signature(w, p.sig);
-        } else if constexpr (std::is_same_v<T, BulkPullMsg>) {
-          w.u32(p.from);
-          w.u32(p.target);
-          w.u32(p.nonce);
-          write_pull_ranges(w, p.ranges);
-          crypto::write_wire_signature(w, p.sig);
-        } else if constexpr (std::is_same_v<T, BulkReplyMsg>) {
-          w.u32(p.from);
-          w.u32(p.target);
-          w.u32(p.nonce);
-          w.u8(p.last ? 1 : 0);
-          w.u32(static_cast<std::uint32_t>(p.messages.size()));
-          for (const util::Buffer& blob : p.messages) w.bytes(blob);
+        } else {  // the signed types: body ‖ sig
+          write_body(w, p);
           crypto::write_wire_signature(w, p.sig);
         }
       },

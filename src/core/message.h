@@ -220,6 +220,8 @@ std::vector<std::uint8_t> bulk_reply_sign_bytes(const BulkReplyMsg& msg);
 /// Serializes into one immutable shared buffer — the only allocation a
 /// packet's bytes ever make; radio, medium and store all share it.
 util::Buffer serialize(const Packet& packet);
+/// Exact byte length of serialize(packet), which reserves it up front.
+[[nodiscard]] std::size_t serialized_size(const Packet& packet);
 
 /// Parses a packet from a borrowed view. A parsed DataMsg owns a fresh
 /// copy of its payload (the view may die with the caller's stack).

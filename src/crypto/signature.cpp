@@ -28,8 +28,8 @@ std::uint64_t Pki::tag_for(NodeId id, SipKey key,
   // Domain-separate by signer id so a tag from node A is never valid for
   // node B even if (impossibly) their keys collided. The concatenation
   // buffer is stack-allocated for every packet-sized input; sign/verify
-  // run once per frame per receiver, and a heap allocation here showed
-  // up in kernel-scale profiles.
+  // run for every signature of every transmission, and a heap allocation
+  // here showed up in kernel-scale profiles.
   constexpr std::size_t kStackData = 2048;
   if (data.size() <= kStackData) {
     std::uint8_t buf[4 + kStackData];

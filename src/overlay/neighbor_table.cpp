@@ -5,23 +5,23 @@
 namespace byzcast::overlay {
 
 void NeighborTable::record(
-    NodeId id, bool active, bool dominator, std::vector<NodeId> neighbors,
-    std::vector<NodeId> dominator_neighbors, des::SimTime now,
-    std::vector<std::pair<NodeId, std::uint32_t>> stability) {
+    NodeId id, bool active, bool dominator,
+    const std::vector<NodeId>& neighbors,
+    const std::vector<NodeId>& dominator_neighbors, des::SimTime now,
+    const std::vector<std::pair<NodeId, std::uint32_t>>& stability) {
   for (Entry& entry : entries_) {
     if (entry.id == id) {
       entry.active = active;
       entry.dominator = dominator;
-      entry.neighbors = std::move(neighbors);
-      entry.dominator_neighbors = std::move(dominator_neighbors);
-      entry.stability = std::move(stability);
+      entry.neighbors = neighbors;
+      entry.dominator_neighbors = dominator_neighbors;
+      entry.stability = stability;
       entry.last_heard = now;
       return;
     }
   }
-  entries_.push_back(Entry{id, active, dominator, std::move(neighbors),
-                           std::move(dominator_neighbors),
-                           std::move(stability), now});
+  entries_.push_back(Entry{id, active, dominator, neighbors,
+                           dominator_neighbors, stability, now});
 }
 
 std::uint32_t NeighborTable::reported_stability(NodeId reporter,

@@ -35,11 +35,14 @@ class NeighborTable : public obs::GaugeSource {
   explicit NeighborTable(des::SimDuration entry_timeout)
       : entry_timeout_(entry_timeout) {}
 
-  /// Records a beacon from `id` at `now`.
+  /// Records a beacon from `id` at `now`. The lists are copied into the
+  /// entry's existing capacity: a neighbour's beacons keep roughly the
+  /// same length, so a steady-state record allocates nothing.
   void record(NodeId id, bool active, bool dominator,
-              std::vector<NodeId> neighbors,
-              std::vector<NodeId> dominator_neighbors, des::SimTime now,
-              std::vector<std::pair<NodeId, std::uint32_t>> stability = {});
+              const std::vector<NodeId>& neighbors,
+              const std::vector<NodeId>& dominator_neighbors, des::SimTime now,
+              const std::vector<std::pair<NodeId, std::uint32_t>>& stability =
+                  {});
 
   /// The stability prefix `reporter` last claimed for `origin` (0 when
   /// unknown or never reported).

@@ -81,6 +81,12 @@ class Buffer {
   [[nodiscard]] bool shares_storage_with(const Buffer& other) const {
     return storage_ != nullptr && storage_ == other.storage_;
   }
+  /// True when both buffers are the same view — same allocation, offset
+  /// and size — of a non-empty buffer: the identity of one transmission.
+  [[nodiscard]] bool same_view_as(const Buffer& other) const {
+    return shares_storage_with(other) && data_ == other.data_ &&
+           size_ == other.size_;
+  }
 
   /// Byte-wise equality (contents, not identity).
   friend bool operator==(const Buffer& a, const Buffer& b) {

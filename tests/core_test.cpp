@@ -1,9 +1,10 @@
 // Unit tests for the core protocol's passive pieces: MessageStore,
-// GossipQueue, ProtocolConfig, Metrics. The live node is exercised in
-// node_test.cpp and the integration suites.
+// GossipQueue, ProtocolConfig, Metrics, DecodedFrame. The live node is
+// exercised in node_test.cpp and the integration suites.
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "core/decoded_frame.h"
 #include "core/gossip.h"
 #include "core/message_store.h"
 #include "stats/metrics.h"
@@ -16,6 +17,67 @@ DataMsg make_msg(NodeId origin, std::uint32_t seq) {
   m.id = {origin, seq};
   m.payload = {static_cast<std::uint8_t>(seq)};
   return m;
+}
+
+// ---------------------------------------------------------------------------
+// DecodedFrame: one decode per transmission
+// ---------------------------------------------------------------------------
+
+TEST(DecodedFrame, MemoIsKeyedByBufferIdentityAndPki) {
+  crypto::Pki pki(des::Rng(5));
+  crypto::Pki other_pki(des::Rng(5));
+  util::Buffer wire = serialize(make_msg(1, 2));
+  auto first = decode_frame(wire, pki);
+  ASSERT_TRUE(first->packet().has_value());
+  // Another receiver's copy of the same transmission: the same frame.
+  util::Buffer copy = wire;
+  EXPECT_EQ(decode_frame(copy, pki), first);
+  EXPECT_EQ(decode_frame(wire.slice(0, wire.size()), pki), first);
+  // Equal bytes in another allocation are another transmission.
+  auto elsewhere = decode_frame(util::Buffer::copy_of(wire), pki);
+  EXPECT_NE(elsewhere, first);
+  ASSERT_TRUE(elsewhere->packet().has_value());
+  // The memo holds one frame: going back to `wire` decodes it afresh.
+  auto again = decode_frame(wire, pki);
+  EXPECT_NE(again, first);
+  EXPECT_NE(again, elsewhere);
+  EXPECT_NE(decode_frame(wire, other_pki), again);
+  EXPECT_FALSE(decode_frame(wire.slice(0, wire.size() - 1), pki)
+                   ->packet()
+                   .has_value());
+}
+
+TEST(DecodedFrame, EachSignedPartIsJudgedOnce) {
+  crypto::Pki pki(des::Rng(5));
+  GossipMsg gossip;
+  gossip.entries.push_back({{1, 0}, {0x11}});
+  gossip.entries.push_back({{2, 0}, {0x22}});
+  HelloMsg hello;
+  hello.from = 3;
+  gossip.hello = hello;
+  auto frame = decode_frame(serialize(gossip), pki);
+  const auto& parsed = std::get<GossipMsg>(*frame->packet());
+
+  int calls = 0;
+  auto verify_as = [&calls](bool verdict) {
+    return [&calls, verdict] {
+      ++calls;
+      return verdict;
+    };
+  };
+  EXPECT_TRUE(frame->judge(&parsed.entries[0], verify_as(true)));
+  EXPECT_TRUE(frame->judge(&parsed.entries[0], verify_as(false)));
+  EXPECT_EQ(calls, 1);  // the second receiver reused the first's verdict
+  EXPECT_FALSE(frame->judge(&parsed.entries[1], verify_as(false)));
+  EXPECT_FALSE(frame->judge(&parsed.entries[1], verify_as(true)));
+  EXPECT_TRUE(frame->judge(&*parsed.hello, verify_as(true)));
+  EXPECT_TRUE(frame->judge(&*parsed.hello, verify_as(false)));
+  EXPECT_EQ(calls, 3);
+  // A copy is not part of the frame: judged afresh every time.
+  GossipEntry copy = parsed.entries[1];
+  EXPECT_TRUE(frame->judge(&copy, verify_as(true)));
+  EXPECT_TRUE(frame->judge(&copy, verify_as(true)));
+  EXPECT_EQ(calls, 5);
 }
 
 // ---------------------------------------------------------------------------

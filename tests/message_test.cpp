@@ -182,6 +182,47 @@ std::vector<Packet> sample_packets() {
   return packets;
 }
 
+TEST(Message, SerializedSizeIsExact) {
+  // serialize() reserves serialized_size() up front; an undercount would
+  // regrow the buffer, an overcount would waste it.
+  for (const Packet& packet : sample_packets()) {
+    EXPECT_EQ(serialize(packet).size(), serialized_size(packet))
+        << "kind=" << static_cast<int>(packet_type(packet));
+  }
+  GossipMsg bare;  // no entries, no piggybacked hello
+  EXPECT_EQ(serialize(bare).size(), serialized_size(bare));
+}
+
+TEST(Message, SignBytesAreTheWireMinusTheSignature) {
+  // Each signed kind signs exactly what it sends, less its trailing
+  // signature.
+  auto unsigned_wire = [](const Packet& packet) {
+    util::Buffer wire = serialize(packet);
+    return std::vector<std::uint8_t>(
+        wire.begin(), wire.end() - crypto::kWireSignatureBytes);
+  };
+  for (const Packet& packet : sample_packets()) {
+    if (const auto* m = std::get_if<HelloMsg>(&packet)) {
+      EXPECT_EQ(hello_sign_bytes(*m), unsigned_wire(packet));
+    } else if (const auto* m = std::get_if<FrontierMsg>(&packet)) {
+      EXPECT_EQ(frontier_sign_bytes(*m), unsigned_wire(packet));
+    } else if (const auto* m = std::get_if<BulkPullMsg>(&packet)) {
+      EXPECT_EQ(bulk_pull_sign_bytes(*m), unsigned_wire(packet));
+    } else if (const auto* m = std::get_if<BulkReplyMsg>(&packet)) {
+      EXPECT_EQ(bulk_reply_sign_bytes(*m), unsigned_wire(packet));
+    }
+  }
+}
+
+TEST(Message, SerializeAllocatesOneBufferPerPacket) {
+  for (const Packet& packet : sample_packets()) {
+    util::BufferStats::reset();
+    util::Buffer wire = serialize(packet);
+    EXPECT_EQ(util::BufferStats::allocations, 1u)
+        << "kind=" << static_cast<int>(packet_type(packet));
+  }
+}
+
 // --- parser totality sweep (every kind) ------------------------------------
 // The zero-copy pipeline re-sends *received* frame bytes verbatim, so the
 // parser must be canonical: any byte string it accepts re-serializes to

@@ -148,9 +148,12 @@ TEST(IoLoopTest, SplitRngStreamsDiffer) {
 // --- UDP transport on loopback ---------------------------------------------
 
 // Loopback sockets; picks ports from the pid so parallel ctest instances
-// don't collide.
+// don't collide. Each process owns kPortsPerProcess ports: the tests
+// below bind base+0 through base+8.
+constexpr int kPortsPerProcess = 9;
 std::uint16_t test_base_port() {
-  return static_cast<std::uint16_t>(22000 + (::getpid() % 2000) * 4);
+  return static_cast<std::uint16_t>(22000 +
+                                    (::getpid() % 1000) * kPortsPerProcess);
 }
 
 TEST(UdpTransportTest, LoopbackEcho) {

@@ -9,6 +9,8 @@
 
 #include "core/byzcast_node.h"
 #include "mobility/static_mobility.h"
+#include "net/impairment.h"
+#include "obs/profiler.h"
 #include "radio/medium.h"
 #include "radio/radio.h"
 
@@ -518,6 +520,230 @@ TEST_F(NodeTest, MalformedBytesSuspected) {
   EXPECT_EQ(
       bob.trust().suspicion_events(fd::SuspicionReason::kProtocolViolation),
       1u);
+}
+
+// ---------------------------------------------------------------------------
+// One decode per transmission (DESIGN.md §16): the receivers of one buffer
+// share its parse and its signature verdicts, and each still decides
+// exactly what it would have decided on a copy of its own.
+// ---------------------------------------------------------------------------
+
+/// An endpoint the test delivers to by hand, so that one Buffer reaches
+/// several nodes as one transmission. `on_send` runs inside send().
+class HandTransport final : public net::Transport {
+ public:
+  explicit HandTransport(NodeId id) : id_(id) {}
+  void send(util::Buffer payload) override {
+    if (on_send) on_send(payload);
+  }
+  void set_receive_handler(ReceiveHandler handler) override {
+    handler_ = std::move(handler);
+  }
+  [[nodiscard]] NodeId local_id() const override { return id_; }
+  void deliver(const radio::Frame& frame) const { handler_(frame); }
+
+  std::function<void(const util::Buffer&)> on_send;
+
+ private:
+  NodeId id_;
+  ReceiveHandler handler_;
+};
+
+/// What one receiver made of a run.
+struct Outcome {
+  int accepts = 0;
+  std::uint64_t bad_signatures = 0;
+  std::uint64_t malformed = 0;
+  bool knows_sender = false;  ///< a HELLO from the sender was recorded
+  std::size_t pending_requests = 0;
+  bool operator==(const Outcome&) const = default;
+};
+
+/// Three receivers (ids 0-2) that hear a sender the test signs for (id 3).
+/// With `impairment`, receiver 2 listens through an ImpairedTransport.
+class Trio {
+ public:
+  static constexpr NodeId kSender = 3;
+
+  explicit Trio(const net::ImpairmentConfig* impairment = nullptr)
+      : pki_(des::Rng(99)) {
+    for (NodeId id = 0; id < 3; ++id) {
+      links_.push_back(std::make_unique<HandTransport>(id));
+      net::Transport* ingress = links_.back().get();
+      if (impairment != nullptr && id == 2) {
+        impaired_ = std::make_unique<net::ImpairedTransport>(
+            sim_, *links_.back(), *impairment);
+        ingress = impaired_.get();
+      }
+      nodes_.push_back(std::make_unique<ByzcastNode>(
+          sim_, *ingress, pki_, pki_.register_node(id), ProtocolConfig{}));
+      accepts_.push_back(0);
+      nodes_.back()->set_accept_handler(
+          [this, id](const MessageId&, std::span<const std::uint8_t>) {
+            ++accepts_[id];
+          });
+      nodes_.back()->start();
+    }
+    sender_ = pki_.register_node(kSender);
+    obs::Profiler::reset();
+    obs::Profiler::set_enabled(true);
+  }
+  ~Trio() { obs::Profiler::set_enabled(false); }
+
+  DataMsg data(std::uint32_t seq, std::uint8_t ttl = 1) const {
+    DataMsg msg;
+    msg.id = {kSender, seq};
+    msg.ttl = ttl;
+    msg.payload = std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(seq));
+    msg.sig = sender_.sign(data_sign_bytes(msg.id, msg.payload));
+    msg.gossip_sig = sender_.sign(gossip_sign_bytes(msg.id));
+    return msg;
+  }
+  GossipEntry entry(std::uint32_t seq) const {
+    return {{kSender, seq}, sender_.sign(gossip_sign_bytes({kSender, seq}))};
+  }
+  HelloMsg hello() const {
+    HelloMsg hello;
+    hello.from = kSender;
+    hello.neighbors = {0, 1, 2};
+    hello.sig = sender_.sign(hello_sign_bytes(hello));
+    return hello;
+  }
+
+  /// Hands `bytes` from the sender to receivers 0, 1, 2 in that order: as
+  /// the one shared buffer, or as a separately allocated copy each.
+  void transmit(const util::Buffer& bytes, bool shared = true) {
+    for (const auto& link : links_) {
+      link->deliver(radio::Frame{
+          kSender, shared ? bytes : util::Buffer::copy_of(bytes)});
+    }
+  }
+
+  [[nodiscard]] std::vector<Outcome> outcomes() const {
+    std::vector<Outcome> out;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      ByzcastNode& node = *nodes_[i];
+      out.push_back(
+          {accepts_[i],
+           node.trust().suspicion_events(fd::SuspicionReason::kBadSignature),
+           node.trust().suspicion_events(
+               fd::SuspicionReason::kProtocolViolation),
+           node.neighbor_table().contains(kSender),
+           node.pending_request_count()});
+    }
+    return out;
+  }
+
+  static std::uint64_t parses() {
+    return obs::Profiler::stats(obs::ProfileCategory::kParse).count;
+  }
+  static std::uint64_t verifies() {
+    return obs::Profiler::stats(obs::ProfileCategory::kSignatureVerify).count;
+  }
+
+  HandTransport& link(NodeId id) { return *links_[id]; }
+  ByzcastNode& node(NodeId id) { return *nodes_[id]; }
+
+ private:
+  des::Simulator sim_{7};
+  crypto::Pki pki_;
+  crypto::Signer sender_;
+  std::vector<std::unique_ptr<HandTransport>> links_;
+  std::unique_ptr<net::ImpairedTransport> impaired_;
+  std::vector<std::unique_ptr<ByzcastNode>> nodes_;
+  std::vector<int> accepts_;
+};
+
+struct MixedRun {
+  std::vector<Outcome> outcomes;
+  std::uint64_t parses = 0;
+  std::uint64_t verifies = 0;
+};
+
+/// A valid DATA, a forged DATA, and a GOSSIP carrying a held, a missing
+/// and a forged entry plus a piggybacked HELLO — every signed part a
+/// receiver judges.
+MixedRun run_mixed_traffic(bool shared) {
+  Trio trio;
+  DataMsg forged = trio.data(1);
+  forged.sig.tag ^= 1;
+  GossipMsg gossip;
+  gossip.entries = {trio.entry(0), trio.entry(5), trio.entry(6)};
+  gossip.entries[2].origin_sig.tag ^= 1;
+  gossip.hello = trio.hello();
+  for (const Packet& packet : {Packet{trio.data(0)}, Packet{forged},
+                               Packet{std::move(gossip)}}) {
+    trio.transmit(serialize(packet), shared);
+  }
+  return {trio.outcomes(), Trio::parses(), Trio::verifies()};
+}
+
+TEST(SharedDecode, ReceiversOfOneTransmissionDecodeAndVerifyItOnce) {
+  const MixedRun shared = run_mixed_traffic(/*shared=*/true);
+  const MixedRun copies = run_mixed_traffic(/*shared=*/false);
+
+  // Every receiver decides as it would on a copy of its own...
+  EXPECT_EQ(shared.outcomes, copies.outcomes);
+  const Outcome expected{/*accepts=*/1, /*bad_signatures=*/2, /*malformed=*/0,
+                         /*knows_sender=*/true, /*pending_requests=*/1};
+  for (const Outcome& outcome : shared.outcomes) EXPECT_EQ(outcome, expected);
+  // ...but one parse per transmission, and each signature verified once:
+  // 2 for the valid DATA, 1 for the forged one (its first signature
+  // already fails), 1 HELLO + 3 entries for the GOSSIP.
+  EXPECT_EQ(shared.parses, 3u);
+  EXPECT_EQ(shared.verifies, 7u);
+  EXPECT_EQ(copies.parses, 9u);
+  EXPECT_EQ(copies.verifies, 21u);
+}
+
+TEST(SharedDecode, ForgedHelloSuspectedByEveryReceiver) {
+  Trio trio;
+  HelloMsg forged = trio.hello();
+  forged.neighbors.push_back(9);  // no longer what the sender signed
+  trio.transmit(serialize(forged));
+  for (const Outcome& outcome : trio.outcomes()) {
+    EXPECT_EQ(outcome.bad_signatures, 1u);
+    EXPECT_FALSE(outcome.knows_sender);
+  }
+  EXPECT_EQ(Trio::parses(), 1u);
+  EXPECT_EQ(Trio::verifies(), 1u);
+}
+
+TEST(SharedDecode, CorruptedCopyIsDecodedAndRejectedOnItsOwn) {
+  net::ImpairmentConfig corrupt_all;
+  corrupt_all.link.corrupt = 1.0;
+  Trio trio(&corrupt_all);
+  trio.transmit(serialize(trio.data(0)));
+  std::vector<Outcome> outcomes = trio.outcomes();
+  for (NodeId clean : {0, 1}) {
+    EXPECT_EQ(outcomes[clean].accepts, 1);
+    EXPECT_EQ(outcomes[clean].bad_signatures + outcomes[clean].malformed, 0u);
+  }
+  // Receiver 2 got its own flipped copy: another buffer, another decode.
+  EXPECT_EQ(outcomes[2].accepts, 0);
+  EXPECT_EQ(outcomes[2].bad_signatures + outcomes[2].malformed, 1u);
+  EXPECT_EQ(Trio::parses(), 2u);
+}
+
+TEST(SharedDecode, ReentrantDeliveryKeepsTheOuterFrameAlive) {
+  Trio trio;
+  // Relaying the ttl-2 copy (a send inside handle_data) synchronously
+  // delivers a second transmission, which replaces the per-thread memo
+  // while the outer handler still reads its message. ASan flags it if the
+  // outer frame is not held for the whole dispatch.
+  const util::Buffer inner = serialize(trio.data(1));
+  bool delivered = false;
+  trio.link(0).on_send = [&](const util::Buffer&) {
+    if (std::exchange(delivered, true)) return;
+    trio.link(0).deliver(radio::Frame{Trio::kSender, inner});
+  };
+  trio.link(0).deliver(
+      radio::Frame{Trio::kSender, serialize(trio.data(0, /*ttl=*/2))});
+  ASSERT_TRUE(delivered);
+  EXPECT_EQ(trio.outcomes()[0].accepts, 2);
+  EXPECT_TRUE(trio.node(0).store().has({Trio::kSender, 0}));
+  EXPECT_TRUE(trio.node(0).store().has({Trio::kSender, 1}));
+  EXPECT_EQ(Trio::parses(), 2u);
 }
 
 }  // namespace

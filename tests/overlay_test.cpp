@@ -39,6 +39,22 @@ TEST(NeighborTable, RecordUpdatesInPlace) {
   EXPECT_EQ(table.find(1)->neighbors, (std::vector<NodeId>{5}));
 }
 
+TEST(NeighborTable, RecordReusesTheEntrysListCapacity) {
+  NeighborTable table(des::seconds(3));
+  table.record(1, true, false, {2, 3, 4}, {2, 3}, 0, {{2, 7}, {3, 1}});
+  const NodeId* neighbors = table.find(1)->neighbors.data();
+  const NodeId* dominators = table.find(1)->dominator_neighbors.data();
+  const auto* stability = table.find(1)->stability.data();
+  // A beacon no longer than the last one lands in the same storage.
+  table.record(1, true, false, {5, 6}, {5, 6}, des::seconds(1), {{5, 2}});
+  EXPECT_EQ(table.find(1)->neighbors.data(), neighbors);
+  EXPECT_EQ(table.find(1)->dominator_neighbors.data(), dominators);
+  EXPECT_EQ(table.find(1)->stability.data(), stability);
+  EXPECT_EQ(table.find(1)->neighbors, (std::vector<NodeId>{5, 6}));
+  EXPECT_EQ(table.reported_stability(1, 5), 2u);
+  EXPECT_EQ(table.reported_stability(1, 2), 0u);
+}
+
 TEST(NeighborTable, ExpiryDropsStaleEntries) {
   NeighborTable table(des::seconds(3));
   table.record(1, true, true, {}, {}, des::seconds(1));
