@@ -50,7 +50,6 @@
 
 #include "core/byzcast_node.h"
 #include "fd/fd_types.h"
-#include "mobility/static_mobility.h"
 #include "net/impairment.h"
 #include "net/io_loop.h"
 #include "net/peer_health.h"
@@ -59,7 +58,6 @@
 #include "obs/msg_trace.h"
 #include "obs/run_report.h"
 #include "obs/timeline.h"
-#include "radio/medium.h"
 #include "sim/runner.h"
 #include "sync/sync.h"
 #include "util/cli.h"
@@ -228,82 +226,46 @@ void write_msg_trace_file(const Options& opt,
 // same schedule the live source uses. Deterministic in (seed, flags).
 // ---------------------------------------------------------------------------
 int run_sim_prediction(const Options& opt) {
-  des::Simulator sim(opt.seed);
-  stats::Metrics metrics;
-  crypto::Pki pki{des::Rng(opt.key_seed)};
+  sim::ScenarioConfig config = report_config(opt);
+  // A tight line well inside one transmission range: every node hears
+  // every frame, like n daemons fanning out on loopback. Ingress chaos is
+  // a live-daemon knob; the prediction is the convergence target.
+  config.placement = sim::PlacementKind::kChain;
+  config.chain_spacing = 1;
+  config.tx_range = 1e5;
+  config.medium.collisions_enabled = false;
+  config.medium.base_loss_prob = 0;
+  config.impairment = {};
+  config.enable_msg_trace = !opt.trace_msgs_path.empty();
+  sim::Network network(config);
+  des::Simulator& sim = network.simulator();
 
-  radio::MediumConfig mc;
-  mc.collisions_enabled = false;
-  mc.base_loss_prob = 0.0;
-  radio::Medium medium(sim, std::make_unique<radio::UnitDisk>(), mc,
-                       &metrics);
-
-  // Whole-fleet message trace on the sim clock (anchor node = -1): sim
-  // time is already fleet-global, so one recorder serves every node —
-  // and the per-message event cap, a per-node budget, scales by n.
-  obs::MsgTraceConfig trace_config;
-  trace_config.max_events_per_message *= opt.n;
-  obs::MsgTraceRecorder msg_trace(trace_config);
-  {
-    obs::MsgTraceAnchor anchor;
-    anchor.n = static_cast<std::uint32_t>(opt.n);
-    msg_trace.set_anchor(anchor);
-  }
-
-  std::vector<std::unique_ptr<mobility::MobilityModel>> mobility;
-  std::vector<std::unique_ptr<radio::Radio>> radios;
-  std::vector<std::unique_ptr<core::ByzcastNode>> nodes;
   std::map<NodeId, DeliverySet> delivered;
   for (NodeId id = 0; id < opt.n; ++id) {
-    // A tight line well inside one transmission range: every node hears
-    // every frame, like n daemons fanning out on loopback.
-    mobility.push_back(std::make_unique<mobility::StaticMobility>(
-        geo::Vec2{static_cast<double>(id), 0}));
-    radios.push_back(std::make_unique<radio::Radio>(medium, id,
-                                                    *mobility.back(), 1e5));
-    nodes.push_back(std::make_unique<core::ByzcastNode>(
-        sim, *radios.back(), pki, pki.register_node(id), opt.protocol,
-        &metrics));
-    nodes.back()->set_expected_targets(opt.n - 1);
-    nodes.back()->set_accept_handler(
+    network.byzcast_node(id)->set_accept_handler(
         [&delivered, id](const core::MessageId& mid,
                          std::span<const std::uint8_t>) {
           delivered[id].emplace(mid.origin, mid.seq);
         });
-    if (!opt.trace_msgs_path.empty()) {
-      nodes.back()->set_msg_trace(&msg_trace);
-    }
-    nodes.back()->start();
     delivered[id];  // every node appears, even with an empty set
   }
-
-  std::optional<obs::Timeline> timeline;
-  if (opt.telemetry_interval > 0) {
-    timeline.emplace(sim, metrics, opt.telemetry_interval);
-    for (NodeId id = 0; id < opt.n; ++id) {
-      timeline->add_source("node" + std::to_string(id), *nodes[id]);
-    }
-    timeline->start();
-  }
-
   for (std::size_t i = 0; i < opt.bcasts; ++i) {
     sim.schedule_at(opt.start_delay + opt.interval * i, [&, i] {
-      nodes[0]->broadcast(sim::make_payload(i, opt.payload_bytes));
-      delivered[0].emplace(0, nodes[0]->next_seq() - 1);
+      network.broadcast_from(0, sim::make_payload(i, opt.payload_bytes));
+      delivered[0].emplace(0, network.byzcast_node(0)->next_seq() - 1);
     });
   }
   sim.run_until(opt.duration);
 
   write_deliveries_file(opt, delivered);
-  write_msg_trace_file(opt, msg_trace);
+  write_msg_trace_file(opt, network.msg_trace());
   if (!opt.report_path.empty()) {
-    if (timeline) timeline->sample_now();
     sim::RunResult result;
-    result.metrics = metrics;
+    result.metrics = network.metrics();
+    result.timeline = network.timeline_data();
     result.correct_count = opt.n;
-    result.sim_seconds = static_cast<double>(sim.now()) / 1e6;
-    if (timeline) result.timeline = timeline->data();
-    write_report(opt, report_config(opt), result);
+    result.sim_seconds = des::to_seconds(sim.now());
+    write_report(opt, config, result);
   }
   std::fprintf(stderr, "byzcastd: sim prediction done, %zu nodes, %zu events\n",
                opt.n, static_cast<std::size_t>(sim.events_executed()));
@@ -402,7 +364,7 @@ int run_udp_daemon(const Options& opt) {
   health.set_on_suspect([&node, &opt](NodeId peer) {
     std::fprintf(stderr, "byzcastd: node %u suspects peer %u (silent/unreachable)\n",
                  opt.id, peer);
-    node.trust().suspect(peer, fd::SuspicionReason::kMute);
+    node.suspect(peer, fd::SuspicionReason::kMute);
   });
   health.set_on_alive([&opt](NodeId peer) {
     std::fprintf(stderr, "byzcastd: node %u hears peer %u again\n", opt.id,

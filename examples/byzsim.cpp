@@ -201,19 +201,18 @@ int main(int argc, char** argv) try {
   }
 
   bool analyze = args.get_bool("analyze", false);
-  std::string trace_format = args.get_str("trace", "");  // text|csv|jsonl
-  // --trace-out redirects the trace to a file and keeps the metrics
-  // summary on stdout (without it, --trace writes to stdout and exits,
-  // the historical behaviour).
+  // The protocol trace (DESIGN.md §15), one recorder behind two flags:
+  // --trace renders it as text|csv|jsonl (jsonl is the byztrace input
+  // format); --trace-out redirects that to a file and keeps the metrics
+  // summary on stdout (without it, --trace writes to stdout and exits).
+  std::string trace_format = args.get_str("trace", "");
   std::string trace_out = args.get_str("trace-out", "");
   if (!trace_out.empty() && trace_format.empty()) trace_format = "text";
-  config.enable_trace = !trace_format.empty();
-
-  // Fleet-wide message-lifecycle trace (DESIGN.md §15): one JSONL file
-  // for the whole DES fleet, mergeable by byztrace with live-daemon
-  // traces of the same schema. --trace-sample keeps 1-in-N messages.
+  // --trace-msgs additionally writes the JSONL file, mergeable by
+  // byztrace with live-daemon traces of the same schema. --trace-sample
+  // keeps 1-in-N messages.
   std::string trace_msgs = args.get_str("trace-msgs", "");
-  config.enable_msg_trace = !trace_msgs.empty();
+  config.enable_msg_trace = !trace_format.empty() || !trace_msgs.empty();
   config.msg_trace.sample_every =
       static_cast<std::uint32_t>(args.get_int("trace-sample", 1));
 
@@ -249,15 +248,15 @@ int main(int argc, char** argv) try {
                                  ? static_cast<std::ostream&>(std::cout)
                                  : trace_file;
     if (trace_format == "csv") {
-      network.trace().write_csv(trace_os);
+      network.msg_trace().write_csv(trace_os);
     } else if (trace_format == "jsonl") {
-      network.trace().write_jsonl(trace_os);
+      network.msg_trace().write_jsonl(trace_os);
     } else {
-      network.trace().write_text(trace_os);
+      network.msg_trace().write_text(trace_os);
     }
     if (trace_out.empty()) return 0;
     std::fprintf(stderr, "byzsim: trace written to %s (%zu events)\n",
-                 trace_out.c_str(), network.trace().size());
+                 trace_out.c_str(), network.msg_trace().events().size());
   }
 
   if (!trace_msgs.empty()) {
@@ -367,7 +366,7 @@ int main(int argc, char** argv) try {
     obs::RunReport report;
     report.config = &config;
     report.result = &result;
-    if (config.enable_trace) report.trace = &network.trace();
+    if (config.enable_msg_trace) report.trace = &network.msg_trace();
     if (report_path == "-") {
       report.write_json(std::cout);
     } else {

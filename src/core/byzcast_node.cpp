@@ -74,10 +74,9 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
       [this](const radio::Frame& frame) { on_frame(frame); });
   // FD wiring (Figure 1): MUTE and VERBOSE report into TRUST.
   mute_.set_on_suspect(
-      [this](NodeId node) { trust_.suspect(node, fd::SuspicionReason::kMute); });
-  verbose_.set_on_suspect([this](NodeId node) {
-    trust_.suspect(node, fd::SuspicionReason::kVerbose);
-  });
+      [this](NodeId node) { suspect(node, fd::SuspicionReason::kMute); });
+  verbose_.set_on_suspect(
+      [this](NodeId node) { suspect(node, fd::SuspicionReason::kVerbose); });
   if (config_.request_min_spacing > 0) {
     verbose_.set_min_spacing(static_cast<std::uint8_t>(MsgType::kRequestMsg),
                              config_.request_min_spacing);
@@ -95,8 +94,8 @@ ByzcastNode::ByzcastNode(net::Env& env, net::Transport& transport,
     hooks.admit = [this](const DataMsg& msg, NodeId from) {
       admit_synced(msg, from);
     };
-    hooks.trace = [this](trace::EventKind kind, NodeId peer, MessageId mid,
-                         std::uint64_t a) { trace_event(kind, peer, mid, a); };
+    hooks.trace = [this](obs::MsgEventKind kind, NodeId peer,
+                         std::uint64_t a) { trace_event(kind, {}, peer, a); };
     sync_ = std::make_unique<sync::SyncManager>(env, id(), pki, signer_,
                                                 store_, config_.sync,
                                                 std::move(hooks),
@@ -147,9 +146,9 @@ void ByzcastNode::restart() {
 
 void ByzcastNode::suspect(NodeId node, fd::SuspicionReason reason) {
   trace_event(reason == fd::SuspicionReason::kBadSignature
-                  ? trace::EventKind::kBadSignature
-                  : trace::EventKind::kSuspect,
-              node, {}, static_cast<std::uint64_t>(reason));
+                  ? obs::MsgEventKind::kBadSignature
+                  : obs::MsgEventKind::kSuspect,
+              {}, node, static_cast<std::uint64_t>(reason));
   trust_.suspect(node, reason);
 }
 
@@ -251,8 +250,7 @@ void ByzcastNode::broadcast(std::vector<std::uint8_t> payload) {
     metrics_->on_broadcast(stats::MessageKey{mid.origin, mid.seq}, env_.now(),
                            targets_);
   }
-  trace_event(trace::EventKind::kBroadcast, kInvalidNode, mid);
-  msg_event(obs::MsgEventKind::kBroadcast, mid);
+  trace_event(obs::MsgEventKind::kBroadcast, mid);
   send_frame(stats::MsgKind::kData, msg.wire);  // line 3: broadcast(m, DATA)
   gossip_queue_.enqueue(msg.gossip_entry());  // line 4: lazycast(gossip)
 }
@@ -315,13 +313,13 @@ void ByzcastNode::handle_data(const DataMsg& msg, NodeId from) {
     return;
   }
 
-  msg_event(obs::MsgEventKind::kFirstHeard, msg.id, from);
+  trace_event(obs::MsgEventKind::kFirstHeard, msg.id, from);
   if (!verify_data(msg)) {  // lines 22-24
-    msg_event(obs::MsgEventKind::kRejected, msg.id, from);
+    trace_event(obs::MsgEventKind::kRejected, msg.id, from);
     suspect(from, fd::SuspicionReason::kBadSignature);
     return;
   }
-  msg_event(obs::MsgEventKind::kVerified, msg.id, from);
+  trace_event(obs::MsgEventKind::kVerified, msg.id, from);
   accept_and_forward(msg, from);
 }
 
@@ -329,8 +327,7 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   store_.insert(msg, env_.now());
 
   if (store_.mark_accepted(msg.id)) {  // line 7: Accept(p_i, p_j, message)
-    trace_event(trace::EventKind::kAccept, from, msg.id);
-    msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
+    trace_event(obs::MsgEventKind::kDelivered, msg.id, from);
     if (metrics_ != nullptr) {
       metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
                           env_.now());
@@ -353,7 +350,7 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   // one more hop even by non-overlay nodes. The forward re-sends the
   // stored wire bytes (the received frame itself when its ttl was 1).
   if (active_) {
-    trace_event(trace::EventKind::kForward, from, msg.id);
+    trace_event(obs::MsgEventKind::kForward, msg.id, from);
     if (MessageStore::Stored* s = store_.find(msg.id)) {
       send_frame(stats::MsgKind::kData, s->wire(1));
     }
@@ -366,22 +363,20 @@ void ByzcastNode::accept_and_forward(const DataMsg& msg, NodeId from) {
   // Lines 19-21 + footnote 5: start lazycasting the gossip for this
   // message (we hold both the message and its origin-signed gossip).
   if (store_.claim_gossip(msg.id) == MessageStore::GossipClaim::kFirst) {
-    trace_event(trace::EventKind::kGossipRelay, kInvalidNode, msg.id);
-    msg_event(obs::MsgEventKind::kGossiped, msg.id);
+    trace_event(obs::MsgEventKind::kGossiped, msg.id);
     gossip_queue_.enqueue(msg.gossip_entry());
   }
 }
 
 void ByzcastNode::admit_synced(const DataMsg& msg, NodeId from) {
-  msg_event(obs::MsgEventKind::kSyncPulled, msg.id, from);
+  trace_event(obs::MsgEventKind::kSyncPulled, msg.id, from);
   store_.insert(msg, env_.now());
   // No forward, no lazycast: everyone else already has this message —
   // that is exactly why a frontier could advertise it. Re-flooding the
   // backlog would turn an O(missing) catch-up into an O(missing) storm.
   store_.claim_gossip(msg.id);
   if (store_.mark_accepted(msg.id)) {
-    trace_event(trace::EventKind::kAccept, from, msg.id);
-    msg_event(obs::MsgEventKind::kDelivered, msg.id, from);
+    trace_event(obs::MsgEventKind::kDelivered, msg.id, from);
     if (metrics_ != nullptr) {
       metrics_->on_accept(stats::MessageKey{msg.id.origin, msg.id.seq}, id(),
                           env_.now());
@@ -414,7 +409,7 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
     verbose_.observe(header, from);
 
     if (!verify_gossip_entry(entry)) {  // lines 39-41
-      msg_event(obs::MsgEventKind::kRejected, entry.id, from);
+      trace_event(obs::MsgEventKind::kRejected, entry.id, from);
       suspect(from, fd::SuspicionReason::kBadSignature);
       continue;
     }
@@ -477,8 +472,7 @@ void ByzcastNode::handle_gossip(const GossipMsg& msg, NodeId from) {
       if (store_.has(entry.id)) return;
       mute_.expect(data_pattern(entry.id), {from}, fd::MuteFd::Mode::kOne,
                    fd::MuteFd::Satisfy::kAnySender);
-      trace_event(trace::EventKind::kRequestSent, from, entry.id);
-      msg_event(obs::MsgEventKind::kRequested, entry.id, from);
+      trace_event(obs::MsgEventKind::kRequested, entry.id, from);
       send_packet(RequestMsg{entry, from});  // line 32
     });
   }
@@ -521,7 +515,7 @@ void ByzcastNode::handle_request(const RequestMsg& msg, NodeId from) {
       if (it == last_find_issued_.end() ||
           env_.now() - it->second >= config_.request_retry) {
         last_find_issued_[msg.entry.id] = env_.now();
-        trace_event(trace::EventKind::kFindIssued, msg.target, msg.entry.id);
+        trace_event(obs::MsgEventKind::kFind, msg.entry.id, msg.target);
         send_packet(FindMissingMsg{msg.entry, msg.target, id(),
                                    config_.find_ttl});
       }
@@ -584,7 +578,7 @@ void ByzcastNode::reply_with_stored(const MessageId& id_, std::uint8_t ttl) {
     return;  // a copy is already (or still) on the air
   }
   stored->last_reply = env_.now();
-  trace_event(trace::EventKind::kRetransmission, kInvalidNode, id_);
+  trace_event(obs::MsgEventKind::kRetransmission, id_);
   send_frame(stats::MsgKind::kData, stored->wire(ttl), /*recovery=*/true);
 }
 
@@ -680,8 +674,8 @@ void ByzcastNode::on_hello_tick() {
   active_ = decision.active;
   dominator_ = decision.dominator;
   if (was_active != active_) {
-    trace_event(active_ ? trace::EventKind::kOverlayJoin
-                        : trace::EventKind::kOverlayLeave);
+    trace_event(active_ ? obs::MsgEventKind::kOverlayJoin
+                        : obs::MsgEventKind::kOverlayLeave);
     BYZCAST_DEBUG("overlay") << "node " << id() << " -> "
                              << (active_ ? "active" : "passive");
   }
@@ -745,8 +739,7 @@ void ByzcastNode::retry_pending_requests() {
       NodeId target =
           pending.gossipers[pending.next_target % pending.gossipers.size()];
       ++pending.next_target;
-      trace_event(trace::EventKind::kRequestSent, target, it->first);
-      msg_event(obs::MsgEventKind::kRequested, it->first, target);
+      trace_event(obs::MsgEventKind::kRequested, it->first, target);
       send_packet(RequestMsg{pending.entry, target});
       pending.next_delay = pending.backoff.next_delay(rng_);
     }

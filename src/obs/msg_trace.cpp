@@ -17,8 +17,11 @@ namespace byzcast::obs {
 namespace {
 
 constexpr const char* kKindNames[kMsgEventKindCount] = {
-    "broadcast", "first_heard", "verified",    "delivered",
-    "gossiped",  "requested",   "sync_pulled", "rejected",
+    "broadcast",     "first_heard",   "verified",       "delivered",
+    "gossiped",      "requested",     "sync_pulled",    "rejected",
+    "forward",       "find",          "retransmission", "suspect",
+    "bad_signature", "overlay_join",  "overlay_leave",  "sync_open",
+    "sync_pull",     "sync_failover", "sync_done",
 };
 
 // splitmix64 finalizer: uncorrelated bits from the (origin, seq) id so
@@ -113,7 +116,12 @@ bool msg_trace_sampled(NodeId origin, std::uint32_t seq,
 MsgTraceRecorder::MsgTraceRecorder(MsgTraceConfig config) : config_(config) {}
 
 void MsgTraceRecorder::record(des::SimTime at, MsgEventKind kind, NodeId node,
-                              NodeId origin, std::uint32_t seq, NodeId peer) {
+                              NodeId origin, std::uint32_t seq, NodeId peer,
+                              std::uint64_t a) {
+  if (origin == kInvalidNode) {  // node-level: never sampled or capped
+    events_.push_back(MsgEvent{at, kind, node, peer, origin, seq, a});
+    return;
+  }
   if (!msg_trace_sampled(origin, seq, config_.sample_every)) return;
   const std::pair<NodeId, std::uint32_t> key{origin, seq};
   auto it = per_msg_events_.find(key);
@@ -129,7 +137,7 @@ void MsgTraceRecorder::record(des::SimTime at, MsgEventKind kind, NodeId node,
     return;
   }
   ++it->second;
-  events_.push_back(MsgEvent{at, kind, node, peer, origin, seq});
+  events_.push_back(MsgEvent{at, kind, node, peer, origin, seq, a});
 }
 
 void MsgTraceRecorder::write_jsonl(std::ostream& os) const {
@@ -145,7 +153,32 @@ void MsgTraceRecorder::write_jsonl(std::ostream& os) const {
        << ",\"kind\":" << util::json_quote(msg_event_name(ev.kind))
        << ",\"node\":" << fmt_node(ev.node) << ",\"peer\":" << fmt_node(ev.peer)
        << ",\"origin\":" << fmt_node(ev.origin) << ",\"seq\":" << ev.seq
-       << "}\n";
+       << ",\"a\":" << fmt_u64(ev.a) << "}\n";
+  }
+}
+
+void MsgTraceRecorder::write_csv(std::ostream& os) const {
+  os << "t_us,kind,node,peer,origin,seq,a\n";
+  for (const MsgEvent& ev : events_) {
+    os << fmt_u64(ev.at) << ',' << msg_event_name(ev.kind) << ','
+       << fmt_node(ev.node) << ',' << fmt_node(ev.peer) << ','
+       << fmt_node(ev.origin) << ',' << ev.seq << ',' << fmt_u64(ev.a) << '\n';
+  }
+}
+
+void MsgTraceRecorder::write_text(std::ostream& os) const {
+  char stamp[48];
+  for (const MsgEvent& ev : events_) {
+    std::snprintf(stamp, sizeof stamp, "[%10.6fs] node %-3s %-14s",
+                  des::to_seconds(ev.at), fmt_node(ev.node).c_str(),
+                  msg_event_name(ev.kind));
+    os << stamp;
+    if (ev.origin != kInvalidNode) {
+      os << " msg (" << ev.origin << ',' << ev.seq << ')';
+    }
+    if (ev.peer != kInvalidNode) os << " peer " << ev.peer;
+    if (ev.a != 0) os << " a=" << fmt_u64(ev.a);
+    os << '\n';
   }
 }
 
@@ -189,6 +222,8 @@ ParsedMsgTrace parse_msg_trace(std::istream& is) {
     ev.peer = node_from_i64(require_i64(line, "peer"));
     ev.origin = node_from_i64(require_i64(line, "origin"));
     ev.seq = static_cast<std::uint32_t>(require_i64(line, "seq"));
+    std::string a;
+    if (find_raw(line, "a", a)) ev.a = std::strtoull(a.c_str(), nullptr, 10);
     out.events.push_back(ev);
   }
   if (!saw_anchor) {
@@ -259,7 +294,7 @@ MergedMsgTrace merge_msg_traces(const std::vector<ParsedMsgTrace>& traces) {
 namespace {
 
 // Events that prove the node holds the message payload at that time
-// (kRequested / kRejected only prove it heard *about* it).
+// (kRequested / kRejected / kFind only prove it heard *about* it).
 bool has_payload_kind(MsgEventKind kind) {
   switch (kind) {
     case MsgEventKind::kBroadcast:
@@ -268,12 +303,12 @@ bool has_payload_kind(MsgEventKind kind) {
     case MsgEventKind::kDelivered:
     case MsgEventKind::kGossiped:
     case MsgEventKind::kSyncPulled:
+    case MsgEventKind::kForward:
+    case MsgEventKind::kRetransmission:
       return true;
-    case MsgEventKind::kRequested:
-    case MsgEventKind::kRejected:
+    default:
       return false;
   }
-  return false;
 }
 
 }  // namespace
@@ -284,7 +319,7 @@ std::vector<MsgDag> build_dags(const MergedMsgTrace& merged) {
   std::map<std::pair<NodeId, std::uint32_t>, std::vector<const MsgEvent*>>
       by_msg;
   for (const MsgEvent& ev : merged.events) {
-    by_msg[{ev.origin, ev.seq}].push_back(&ev);
+    if (ev.origin != kInvalidNode) by_msg[{ev.origin, ev.seq}].push_back(&ev);
   }
 
   std::vector<MsgDag> dags;
@@ -485,11 +520,13 @@ void write_merged_json(std::ostream& os, const MergedMsgTrace& merged,
 // --- Chrome trace-event export ---------------------------------------------
 
 void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
-  // pid = node, tid = message index: each message gets its own track
-  // inside the node's process so overlapping broadcasts do not stack.
+  // pid = node, tid = message index + 1: each message gets its own
+  // track inside the node's process so overlapping broadcasts do not
+  // stack; track 0 holds the node-level events.
   std::map<std::pair<NodeId, std::uint32_t>, std::size_t> msg_track;
   for (const MsgEvent& ev : merged.events) {
-    msg_track.emplace(std::make_pair(ev.origin, ev.seq), msg_track.size());
+    if (ev.origin == kInvalidNode) continue;
+    msg_track.emplace(std::make_pair(ev.origin, ev.seq), msg_track.size() + 1);
   }
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -512,6 +549,7 @@ void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
   };
   std::map<std::pair<NodeId, std::size_t>, Span> spans;
   for (const MsgEvent& ev : merged.events) {
+    if (ev.origin == kInvalidNode) continue;
     const std::size_t track = msg_track.at({ev.origin, ev.seq});
     auto [it, fresh] = spans.emplace(std::make_pair(ev.node, track),
                                      Span{ev.at, ev.at});
@@ -540,7 +578,8 @@ void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged) {
   // Instant events per lifecycle station + flow arrows per causal hop.
   std::size_t flow_id = 0;
   for (const MsgEvent& ev : merged.events) {
-    const std::size_t track = msg_track.at({ev.origin, ev.seq});
+    const std::size_t track =
+        ev.origin == kInvalidNode ? 0 : msg_track.at({ev.origin, ev.seq});
     emit("{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"lifecycle\",\"pid\":" +
          fmt_node(ev.node) + ",\"tid\":" + fmt_u64(track) +
          ",\"ts\":" + fmt_u64(ev.at) +

@@ -1,8 +1,10 @@
-// Fleet-wide causal message tracing (DESIGN.md §15).
+// The protocol trace (DESIGN.md §15): one recorder for both backends.
 //
 // Every node records bounded, sampled lifecycle events for each message
 // it touches, keyed by the globally-unique (origin, seq) id — so traces
-// from different processes correlate with ZERO wire-format changes. A
+// from different processes correlate with ZERO wire-format changes — and,
+// on the same timeline, the node-level events that explain them:
+// suspicions, overlay joins/leaves and range-sync session steps. A
 // MsgTraceRecorder is purely passive: it never schedules timers, never
 // splits an rng, and is off by default, so trace-off runs stay
 // event-for-event identical (golden determinism hashes hold) and
@@ -38,21 +40,34 @@ namespace byzcast::obs {
 inline constexpr const char* kMsgTraceSchema = "byzcast-msg-trace/v1";
 inline constexpr const char* kMergedTraceSchema = "byzcast-msg-trace-merged/v1";
 
-/// Lifecycle stations a message passes through on one node. `kFirstHeard`
-/// / `kSyncPulled` carry the link-layer sender in `peer` — those are the
-/// causal edges the DAG builder turns into hops.
+/// What one node did. The first eight kinds are the lifecycle stations
+/// of a message; `kFirstHeard` / `kSyncPulled` carry the link-layer
+/// sender in `peer` — those are the causal edges the DAG builder turns
+/// into hops. Kinds from `kSuspect` on are node-level: they carry no
+/// message id (origin = kInvalidNode).
 enum class MsgEventKind : std::uint8_t {
-  kBroadcast = 0,  // origin injected the message
-  kFirstHeard,     // first DATA copy arrived (peer = link-layer sender)
-  kVerified,       // signature check passed
-  kDelivered,      // accepted: counts toward the delivery predicate
-  kGossiped,       // header enqueued for the node's gossip rounds
-  kRequested,      // REQUEST_MSG sent after gossip (peer = target)
-  kSyncPulled,     // admitted via range-sync bulk pull (peer = server)
-  kRejected,       // bad signature / malformed — dropped
+  kBroadcast = 0,   // origin injected the message
+  kFirstHeard,      // first DATA copy arrived (peer = link-layer sender)
+  kVerified,        // signature check passed
+  kDelivered,       // accepted: counts toward the delivery predicate
+  kGossiped,        // header enqueued for the node's gossip rounds
+  kRequested,       // REQUEST_MSG sent after gossip (peer = target)
+  kSyncPulled,      // admitted via range-sync bulk pull (peer = server)
+  kRejected,        // bad signature / malformed — dropped
+  kForward,         // overlay forward of the message (peer = sender)
+  kFind,            // overlay node issued a 2-hop search (peer = target)
+  kRetransmission,  // node answered a request with the stored message
+  kSuspect,         // TRUST suspicion of peer (a = SuspicionReason)
+  kBadSignature,    // packet from peer failed verification (a = reason)
+  kOverlayJoin,     // node became active
+  kOverlayLeave,    // node became passive
+  kSyncOpen,        // opened a range-sync session with peer (a = nonce)
+  kSyncPull,        // sent a BULK_PULL to peer (a = range count)
+  kSyncFailover,    // session step timed out / was rejected (a = attempt)
+  kSyncDone,        // session ended (a = 1 success, 0 gave up)
 };
 
-inline constexpr std::size_t kMsgEventKindCount = 8;
+inline constexpr std::size_t kMsgEventKindCount = 19;
 
 /// Stable wire name ("first_heard", ...) used in the JSONL schema.
 const char* msg_event_name(MsgEventKind kind);
@@ -65,10 +80,13 @@ struct MsgEvent {
   MsgEventKind kind = MsgEventKind::kBroadcast;
   NodeId node = kInvalidNode;  // recording node
   NodeId peer = kInvalidNode;  // sender/target where the kind defines one
-  NodeId origin = kInvalidNode;
+  NodeId origin = kInvalidNode;  // kInvalidNode: a node-level event
   std::uint32_t seq = 0;
+  std::uint64_t a = 0;  // kind-specific argument (see MsgEventKind)
 };
 
+/// Sampling and the caps apply to message-keyed events only; node-level
+/// events (suspicions, overlay, sync sessions) are always kept.
 struct MsgTraceConfig {
   /// Trace (origin, seq) iff its id hash % sample_every == 0. The hash
   /// depends only on the message id, so every node in the fleet samples
@@ -103,9 +121,11 @@ class MsgTraceRecorder {
   void set_anchor(const MsgTraceAnchor& anchor) { anchor_ = anchor; }
   [[nodiscard]] const MsgTraceAnchor& anchor() const { return anchor_; }
 
-  /// Appends one event, subject to sampling and the message/event caps.
+  /// Appends one event; a message-keyed one is subject to sampling and
+  /// the message/event caps.
   void record(des::SimTime at, MsgEventKind kind, NodeId node, NodeId origin,
-              std::uint32_t seq, NodeId peer = kInvalidNode);
+              std::uint32_t seq, NodeId peer = kInvalidNode,
+              std::uint64_t a = 0);
 
   [[nodiscard]] const std::vector<MsgEvent>& events() const { return events_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
@@ -114,6 +134,10 @@ class MsgTraceRecorder {
 
   /// Anchor line + one JSONL line per event, in recording order.
   void write_jsonl(std::ostream& os) const;
+  /// Header row + one CSV row per event (t_us,kind,node,peer,origin,seq,a).
+  void write_csv(std::ostream& os) const;
+  /// Human-readable one-line-per-event log.
+  void write_text(std::ostream& os) const;
 
  private:
   MsgTraceConfig config_;
@@ -130,8 +154,9 @@ struct ParsedMsgTrace {
   std::vector<MsgEvent> events;
 };
 
-/// Parses one JSONL trace stream (our own schema only). Throws
-/// std::invalid_argument on a schema mismatch or a malformed line.
+/// Parses one JSONL trace stream (our own schema only; lines without
+/// "a" read as a = 0). Throws std::invalid_argument on a schema mismatch
+/// or a malformed line.
 ParsedMsgTrace parse_msg_trace(std::istream& is);
 
 struct MergedMsgTrace {
@@ -183,7 +208,8 @@ struct MsgDag {
 
 /// One DAG per message id that shows causal content (a root, a hearing
 /// event, or a delivery). Ids that were only ever *rejected* — wire
-/// corruption can garble the id fields themselves — yield no DAG.
+/// corruption can garble the id fields themselves — yield no DAG, and
+/// node-level events belong to no DAG.
 std::vector<MsgDag> build_dags(const MergedMsgTrace& merged);
 
 /// "byzcast-msg-trace-merged/v1": merge metadata, per-message DAGs, and
@@ -194,7 +220,7 @@ void write_merged_json(std::ostream& os, const MergedMsgTrace& merged,
 /// Chrome trace-event JSON (catapult/Perfetto loadable): one process
 /// per node, a complete-event span per (node, message) from first touch
 /// to delivery, instant events per lifecycle station, and flow arrows
-/// per causal hop.
+/// per causal hop. Node-level events are instants on track 0.
 void write_chrome_trace(std::ostream& os, const MergedMsgTrace& merged);
 
 }  // namespace byzcast::obs

@@ -324,7 +324,6 @@ void Network::add_byzcast_node(NodeId id, std::size_t targets) {
       &metrics_, config_.adversary_params));
   core::ByzcastNode& node = *byzcast_nodes_.back();
   node.set_expected_targets(targets);
-  if (config_.enable_trace) node.set_trace(&trace_);
   if (config_.enable_msg_trace) node.set_msg_trace(&msg_trace_);
   node.start();
 }

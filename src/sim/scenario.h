@@ -95,13 +95,11 @@ struct ScenarioConfig {
   des::SimDuration broadcast_interval = des::millis(500);
   std::size_t payload_bytes = 256;
   std::size_t senders = 1;  ///< distinct correct originators (round-robin)
-  /// Record structured protocol events (trace/trace.h) for every byzcast
-  /// node. Off by default: benches aggregate through Metrics instead.
-  bool enable_trace = false;
-  /// Record per-message lifecycle events (obs/msg_trace.h) for every
-  /// byzcast node into one fleet-wide recorder. Off by default; purely
-  /// passive when on (no timers, no rng), so trace-on runs stay
-  /// event-identical.
+  /// Record the protocol trace (obs/msg_trace.h: message lifecycles,
+  /// suspicions, overlay and sync events) for every byzcast node into one
+  /// fleet-wide recorder. Off by default — benches aggregate through
+  /// Metrics instead; purely passive when on (no timers, no rng), so
+  /// trace-on runs stay event-identical.
   bool enable_msg_trace = false;
   obs::MsgTraceConfig msg_trace;
   /// Sim-time sampling interval for the obs::Timeline flight recorder;

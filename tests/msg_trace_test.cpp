@@ -1,11 +1,13 @@
-// Message-lifecycle tracing tests (obs/msg_trace.h, DESIGN.md §15): the
-// bounded sampling recorder, the JSONL round-trip, clock alignment in
-// the merger, propagation-DAG reconstruction (including the range-sync
-// catch-up edge of a crash-recovered node), and the two invariants the
-// whole layer stands on — trace-off runs construct nothing, and
+// Protocol-trace tests (obs/msg_trace.h, DESIGN.md §15): the bounded
+// sampling recorder and its node-level events, the JSONL / CSV / text
+// exports, clock alignment in the merger, propagation-DAG reconstruction
+// (including the range-sync catch-up edge of a crash-recovered node),
+// the protocol events a traced scenario emits, and the two invariants
+// the whole layer stands on — trace-off runs construct nothing, and
 // trace-on runs observe without perturbing the event order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/msg_trace.h"
@@ -15,6 +17,13 @@ namespace byzcast {
 namespace {
 
 using obs::MsgEventKind;
+
+std::size_t count_kind(const std::vector<obs::MsgEvent>& events,
+                       MsgEventKind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [kind](const obs::MsgEvent& e) { return e.kind == kind; }));
+}
 
 // ---------------------------------------------------------------------------
 // Recorder: sampling and bounds
@@ -86,6 +95,115 @@ TEST(MsgTraceRecorder, MessageAndEventCapsBound_Memory) {
   EXPECT_EQ(rec.suppressed(), 2u);
 }
 
+TEST(MsgTraceRecorder, NodeLevelEventsBypassSamplingAndCaps) {
+  obs::MsgTraceConfig config;
+  config.sample_every = 1000;
+  config.max_messages = 0;
+  config.max_events_per_message = 0;
+  obs::MsgTraceRecorder rec(config);
+  rec.record(1, MsgEventKind::kBroadcast, 0, 0, 0);  // no room for any id
+  rec.record(2, MsgEventKind::kSuspect, 1, kInvalidNode, 0, /*peer=*/4,
+             /*a=*/3);
+  rec.record(3, MsgEventKind::kOverlayJoin, 1, kInvalidNode, 0);
+  rec.record(4, MsgEventKind::kSyncDone, 2, kInvalidNode, 0, 1, 1);
+  ASSERT_EQ(rec.events().size(), 3u);
+  EXPECT_EQ(rec.events()[0].kind, MsgEventKind::kSuspect);
+  EXPECT_EQ(rec.events()[0].peer, 4u);
+  EXPECT_EQ(rec.events()[0].a, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Recorder: order, queries and exports of protocol events
+// ---------------------------------------------------------------------------
+
+TEST(TraceRecorder, RecordsInOrderAndCounts) {
+  obs::MsgTraceRecorder rec;
+  EXPECT_TRUE(rec.empty());
+  rec.record(10, MsgEventKind::kBroadcast, 1, 1, 0);
+  rec.record(20, MsgEventKind::kDelivered, 2, 1, 0, 1);
+  rec.record(30, MsgEventKind::kDelivered, 3, 1, 0, 2);
+  const auto& events = rec.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].at, 10u);
+  EXPECT_EQ(events[2].at, 30u);
+  EXPECT_EQ(count_kind(events, MsgEventKind::kDelivered), 2u);
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const obs::MsgEvent& e) {
+                            return e.kind == MsgEventKind::kDelivered &&
+                                   e.node == 2;
+                          }),
+            1);
+  EXPECT_EQ(count_kind(events, MsgEventKind::kSuspect), 0u);
+}
+
+TEST(TraceRecorder, QueriesFindEvents) {
+  obs::MsgTraceRecorder rec;
+  rec.record(10, MsgEventKind::kBroadcast, 1, 1, 0);
+  rec.record(20, MsgEventKind::kSuspect, 2, kInvalidNode, 0, /*peer=*/9);
+  rec.record(30, MsgEventKind::kSuspect, 3, kInvalidNode, 0, /*peer=*/9);
+  const auto& events = rec.events();
+
+  auto first = std::find_if(events.begin(), events.end(),
+                            [](const obs::MsgEvent& e) {
+                              return e.kind == MsgEventKind::kSuspect;
+                            });
+  ASSERT_NE(first, events.end());
+  EXPECT_EQ(first->at, 20u);
+  EXPECT_EQ(first->node, 2u);
+
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const obs::MsgEvent& e) { return e.peer == 9; }),
+            2);
+
+  auto broadcast = std::find_if(events.begin(), events.end(),
+                                [](const obs::MsgEvent& e) {
+                                  return e.kind == MsgEventKind::kBroadcast;
+                                });
+  ASSERT_NE(broadcast, events.end());
+  EXPECT_EQ(broadcast->at, 10u);
+  EXPECT_EQ(count_kind(events, MsgEventKind::kOverlayJoin), 0u);
+}
+
+TEST(TraceRecorder, CsvAndJsonlExport) {
+  obs::MsgTraceRecorder rec;
+  rec.record(1500000, MsgEventKind::kDelivered, 4, 0, 7, /*peer=*/2);
+
+  std::ostringstream csv;
+  rec.write_csv(csv);
+  EXPECT_NE(csv.str().find("t_us,kind,node,peer,origin,seq,a"),
+            std::string::npos);
+  EXPECT_NE(csv.str().find("1500000,delivered,4,2,0,7,0"), std::string::npos);
+
+  std::ostringstream jsonl;
+  rec.write_jsonl(jsonl);
+  EXPECT_NE(jsonl.str().find("\"kind\":\"delivered\""), std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"node\":4"), std::string::npos);
+
+  std::ostringstream text;
+  rec.write_text(text);
+  EXPECT_NE(text.str().find("delivered"), std::string::npos);
+  EXPECT_NE(text.str().find("1.500000s"), std::string::npos);
+  EXPECT_NE(text.str().find("msg (0,7) peer 2"), std::string::npos);
+}
+
+TEST(TraceRecorder, KindNamesAreStable) {
+  // The wire names of the byzcast-msg-trace/v1 schema, in enum order.
+  const char* const names[] = {
+      "broadcast",     "first_heard",   "verified",       "delivered",
+      "gossiped",      "requested",     "sync_pulled",    "rejected",
+      "forward",       "find",          "retransmission", "suspect",
+      "bad_signature", "overlay_join",  "overlay_leave",  "sync_open",
+      "sync_pull",     "sync_failover", "sync_done",
+  };
+  ASSERT_EQ(std::size(names), obs::kMsgEventKindCount);
+  for (std::size_t i = 0; i < obs::kMsgEventKindCount; ++i) {
+    EXPECT_STREQ(obs::msg_event_name(static_cast<MsgEventKind>(i)), names[i]);
+  }
+  EXPECT_STREQ(obs::msg_event_name(MsgEventKind::kFind), "find");
+  EXPECT_STREQ(obs::msg_event_name(MsgEventKind::kBadSignature),
+               "bad_signature");
+}
+
 // ---------------------------------------------------------------------------
 // JSONL round-trip and parsing
 // ---------------------------------------------------------------------------
@@ -102,6 +220,8 @@ TEST(MsgTraceJsonl, RoundTripsAnchorAndEvents) {
   rec.record(100, MsgEventKind::kFirstHeard, 3, 1, 9, /*peer=*/5);
   rec.record(150, MsgEventKind::kDelivered, 3, 1, 9, /*peer=*/5);
   rec.record(300, MsgEventKind::kRejected, 3, 2, 0, /*peer=*/kInvalidNode);
+  rec.record(400, MsgEventKind::kSyncOpen, 3, kInvalidNode, 0, /*peer=*/1,
+             /*a=*/0xFEEDF00Dull);
 
   std::stringstream ss;
   rec.write_jsonl(ss);
@@ -112,11 +232,29 @@ TEST(MsgTraceJsonl, RoundTripsAnchorAndEvents) {
   EXPECT_TRUE(parsed.anchor.wall_clock);
   EXPECT_EQ(parsed.anchor.anchor_env, 1234u);
   EXPECT_EQ(parsed.anchor.anchor_unix_us, 1'700'000'000'000'000ull);
-  ASSERT_EQ(parsed.events.size(), 3u);
+  ASSERT_EQ(parsed.events.size(), 4u);
   EXPECT_EQ(parsed.events[0].kind, MsgEventKind::kFirstHeard);
   EXPECT_EQ(parsed.events[0].peer, 5u);
   EXPECT_EQ(parsed.events[2].kind, MsgEventKind::kRejected);
   EXPECT_EQ(parsed.events[2].peer, kInvalidNode) << "-1 peer must round-trip";
+  EXPECT_EQ(parsed.events[3].kind, MsgEventKind::kSyncOpen);
+  EXPECT_EQ(parsed.events[3].origin, kInvalidNode);
+  EXPECT_EQ(parsed.events[3].a, 0xFEEDF00Dull);
+}
+
+TEST(MsgTraceJsonl, LinesWithoutAParseAsZero) {
+  // A v1 file written before events carried "a".
+  std::stringstream old(
+      R"({"schema":"byzcast-msg-trace/v1","node":-1,"n":2,"clock":"sim",)"
+      R"("anchor_env_us":0,"anchor_unix_us":0,"events":1,"suppressed":0})"
+      "\n"
+      R"({"t_us":5,"kind":"delivered","node":1,"peer":0,"origin":0,"seq":3})"
+      "\n");
+  obs::ParsedMsgTrace parsed = obs::parse_msg_trace(old);
+  ASSERT_EQ(parsed.events.size(), 1u);
+  EXPECT_EQ(parsed.events[0].kind, MsgEventKind::kDelivered);
+  EXPECT_EQ(parsed.events[0].seq, 3u);
+  EXPECT_EQ(parsed.events[0].a, 0u);
 }
 
 TEST(MsgTraceJsonl, ParserRejectsForeignSchemas) {
@@ -257,6 +395,35 @@ TEST(MsgTraceDag, RejectedOnlyPhantomIdsYieldNoDag) {
   EXPECT_TRUE(dags[0].complete);
 }
 
+// Suspicions, overlay changes and sync session steps share the timeline
+// but belong to no message: they must not surface as a (-1, 0) DAG.
+TEST(MsgTraceDag, NodeLevelEventsYieldNoDag) {
+  obs::ParsedMsgTrace t;
+  t.anchor.n = 2;
+  t.events = {
+      {50, MsgEventKind::kOverlayJoin, 0, kInvalidNode, kInvalidNode, 0},
+      {100, MsgEventKind::kBroadcast, 0, kInvalidNode, 0, 0},
+      {120, MsgEventKind::kSuspect, 1, 0, kInvalidNode, 0, 1},
+      {200, MsgEventKind::kFirstHeard, 1, 0, 0, 0},
+      {210, MsgEventKind::kDelivered, 1, 0, 0, 0},
+      {300, MsgEventKind::kSyncOpen, 1, 0, kInvalidNode, 0, 77},
+      {310, MsgEventKind::kSyncDone, 1, 0, kInvalidNode, 0, 1},
+  };
+  obs::MergedMsgTrace merged = obs::merge_msg_traces({t});
+  EXPECT_EQ(merged.events.size(), t.events.size());
+  std::vector<obs::MsgDag> dags = obs::build_dags(merged);
+  ASSERT_EQ(dags.size(), 1u);
+  EXPECT_EQ(dags[0].origin, 0u);
+  EXPECT_TRUE(dags[0].complete);
+  EXPECT_TRUE(dags[0].stalled.empty());
+
+  std::stringstream chrome;
+  obs::write_chrome_trace(chrome, merged);
+  EXPECT_NE(chrome.str().find("\"name\":\"suspect\""), std::string::npos);
+  EXPECT_EQ(chrome.str().find("m4294967295"), std::string::npos)
+      << "node-level events must not open a message span";
+}
+
 // ---------------------------------------------------------------------------
 // DES scenarios: non-perturbation, determinism, DAG reconstruction
 // ---------------------------------------------------------------------------
@@ -291,6 +458,44 @@ TEST(MsgTraceScenario, TracingObservesWithoutPerturbing) {
   EXPECT_EQ(events_off, on.simulator().events_executed())
       << "the recorder changed the event order";
   EXPECT_FALSE(on.msg_trace().empty());
+}
+
+// The same identity over a run that exercises every hook: mute
+// adversaries (suspicions, REQUEST/FIND recovery, retransmissions), a
+// crash-recover fault and range-sync sessions.
+TEST(MsgTraceScenario, TracingEveryHookObservesWithoutPerturbing) {
+  sim::ScenarioConfig config;
+  config.seed = 15;
+  config.n = 30;
+  config.tx_range = 130;
+  config.area = {550, 550};
+  config.adversaries = {{byz::AdversaryKind::kMute, 6}};
+  config.num_broadcasts = 10;
+  config.protocol_config.sync.enabled = true;
+  config.fault_schedule.events.push_back(
+      {des::seconds(7), sim::FaultKind::kCrashStop, 29, 0, {}});
+  config.fault_schedule.events.push_back(
+      {des::seconds(10), sim::FaultKind::kCrashRecover, 29, 0, {}});
+
+  sim::Network off(config);
+  std::string snap_off = stats::snapshot(sim::run_workload(off).metrics);
+  std::size_t events_off = off.simulator().events_executed();
+  EXPECT_TRUE(off.msg_trace().empty());
+
+  config.enable_msg_trace = true;
+  sim::Network on(config);
+  std::string snap_on = stats::snapshot(sim::run_workload(on).metrics);
+  EXPECT_EQ(snap_off, snap_on);
+  EXPECT_EQ(events_off, on.simulator().events_executed())
+      << "the recorder changed the event order";
+
+  const auto& events = on.msg_trace().events();
+  for (MsgEventKind kind :
+       {MsgEventKind::kSuspect, MsgEventKind::kOverlayJoin,
+        MsgEventKind::kForward, MsgEventKind::kRetransmission,
+        MsgEventKind::kSyncOpen, MsgEventKind::kSyncDone}) {
+    EXPECT_GT(count_kind(events, kind), 0u) << obs::msg_event_name(kind);
+  }
 }
 
 TEST(MsgTraceScenario, SameSeedGivesByteIdenticalMergedTrace) {
@@ -419,6 +624,81 @@ TEST(MsgTraceScenario, CrashRecoveryShowsTheRangeSyncCatchUpEdge) {
     }
   }
   EXPECT_GT(sync_edges, 0u) << "no range-sync catch-up edge was traced";
+}
+
+// ---------------------------------------------------------------------------
+// Protocol events of traced scenarios
+// ---------------------------------------------------------------------------
+
+TEST(TraceIntegration, ScenarioEmitsCoherentEvents) {
+  sim::ScenarioConfig config;
+  config.seed = 5;
+  config.n = 25;
+  config.area = {400, 400};
+  config.tx_range = 140;
+  config.num_broadcasts = 5;
+  config.enable_msg_trace = true;
+  sim::Network network(config);
+  sim::RunResult result = sim::run_workload(network);
+  ASSERT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
+
+  const auto& events = network.msg_trace().events();
+  // One broadcast event per workload broadcast, from the sender.
+  EXPECT_EQ(count_kind(events, MsgEventKind::kBroadcast),
+            config.num_broadcasts);
+  // One delivery per (message, correct non-origin node).
+  EXPECT_EQ(count_kind(events, MsgEventKind::kDelivered),
+            config.num_broadcasts * (config.n - 1));
+  // The overlay formed: join events exist, and events are time-ordered.
+  EXPECT_GT(count_kind(events, MsgEventKind::kOverlayJoin), 0u);
+  des::SimTime prev = 0;
+  for (const obs::MsgEvent& e : events) {
+    EXPECT_GE(e.at, prev);
+    prev = e.at;
+  }
+  // Every delivery's (origin, seq) corresponds to a recorded broadcast.
+  for (const obs::MsgEvent& e : events) {
+    if (e.kind != MsgEventKind::kDelivered) continue;
+    auto b = std::find_if(events.begin(), events.end(),
+                          [&](const obs::MsgEvent& x) {
+                            return x.kind == MsgEventKind::kBroadcast &&
+                                   x.origin == e.origin && x.seq == e.seq;
+                          });
+    ASSERT_NE(b, events.end());
+    EXPECT_LE(b->at, e.at);  // cause precedes effect
+  }
+}
+
+TEST(TraceIntegration, MuteAttackLeavesSuspicionTrail) {
+  sim::ScenarioConfig config;
+  config.seed = 15;  // connected correct graph AND recovery exercised
+  config.n = 30;
+  config.tx_range = 130;
+  // Sparse so the mute nodes matter (cf. bench_recovery_timeline), but
+  // dense enough that a connected placement is drawable.
+  config.area = {550, 550};
+  config.adversaries = {{byz::AdversaryKind::kMute, 6}};
+  config.num_broadcasts = 20;
+  config.enable_msg_trace = true;
+  sim::Network network(config);
+  if (!network.correct_graph_connected()) {
+    GTEST_SKIP() << "assumption violated for this seed";
+  }
+  sim::RunResult result = sim::run_workload(network);
+  EXPECT_DOUBLE_EQ(result.metrics.delivery_ratio(), 1.0);
+
+  const auto& events = network.msg_trace().events();
+  // Recovery machinery visibly ran...
+  EXPECT_GT(count_kind(events, MsgEventKind::kRequested), 0u);
+  EXPECT_GT(count_kind(events, MsgEventKind::kRetransmission), 0u);
+  // ...and any suspicion recorded was raised by a correct node against a
+  // Byzantine one (no friendly fire in the trail).
+  for (const obs::MsgEvent& e : events) {
+    if (e.kind != MsgEventKind::kSuspect) continue;
+    EXPECT_EQ(network.kind_of(e.node), byz::AdversaryKind::kNone);
+    EXPECT_NE(network.kind_of(e.peer), byz::AdversaryKind::kNone)
+        << "correct node " << e.node << " suspected correct node " << e.peer;
+  }
 }
 
 // ---------------------------------------------------------------------------
