@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   bench::SweepOptions opt = bench::sweep_options(args, argv[0]);
   auto n = static_cast<std::size_t>(args.get_int("n"));
   auto bcasts = static_cast<std::size_t>(args.get_int("bcasts"));
+  bench::reject_unknown_flags(args);
 
   sim::ScenarioConfig base;
   base.n = n;

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   auto away = static_cast<std::size_t>(args.get_int("away"));
   auto bcasts = static_cast<std::size_t>(args.get_int("bcasts"));
   auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  bench::reject_unknown_flags(args);
 
   util::Table table({"t_since_rejoin_s", "anti_entropy",
                      "recovered_fraction"});

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   bench::SweepOptions opt = bench::sweep_options(args, argv[0]);
   auto n = static_cast<std::size_t>(args.get_int("n"));
   bool sync_on = args.get_bool("sync");
+  bench::reject_unknown_flags(args);
 
   sim::ScenarioConfig base = bench::default_scenario(n);
   // --sync: recovered nodes catch up through batched range-sync sessions

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   if (args.handle_help(argv[0], std::cout)) return 0;
   bench::SweepOptions opt = bench::sweep_options(args, argv[0]);
   auto n = static_cast<std::size_t>(args.get_int("n"));
+  bench::reject_unknown_flags(args);
 
   sim::SweepSpec spec;
   spec.base(bench::default_scenario(n))

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   if (args.handle_help(argv[0], std::cout)) return 0;
   bench::SweepOptions opt = bench::sweep_options(args, argv[0]);
   auto payload = static_cast<std::size_t>(args.get_int("payload"));
+  bench::reject_unknown_flags(args);
 
   sim::ScenarioConfig base = bench::default_scenario(50);
   base.payload_bytes = payload;

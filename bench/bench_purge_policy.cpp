@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   if (args.handle_help(argv[0], std::cout)) return 0;
   auto n = static_cast<std::size_t>(args.get_int("n"));
   auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  bench::reject_unknown_flags(args);
 
   util::Table table({"t_s", "policy", "mean_buffer", "max_buffer"});
   double delivery[2] = {0, 0};

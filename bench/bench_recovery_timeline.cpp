@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   auto n = static_cast<std::size_t>(args.get_int("n"));
   auto bcasts = static_cast<std::size_t>(args.get_int("bcasts"));
   auto onset_s = args.get_double("onset");
+  bench::reject_unknown_flags(args);
 
   sim::ScenarioConfig config;
   config.seed = seed;

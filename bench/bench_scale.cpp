@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "sim/runner.h"
 #include "stats/metrics.h"
 #include "util/cli.h"
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
   const auto compare_n = static_cast<std::size_t>(args.get_int("compare-n"));
   const auto bcasts = static_cast<std::size_t>(args.get_int("bcasts"));
   const bool json = args.get_bool("json");
-  args.reject_unknown();
+  bench::reject_unknown_flags(args);
 
   std::vector<Point> points;
   for (std::size_t n : {std::size_t{1000}, std::size_t{10000},

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   bench::register_sweep_flags(args);
   if (args.handle_help(argv[0], std::cout)) return 0;
   bench::SweepOptions opt = bench::sweep_options(args, argv[0]);
+  bench::reject_unknown_flags(args);
 
   sim::ScenarioConfig base;
   base.placement = sim::PlacementKind::kChain;

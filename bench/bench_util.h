@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -120,6 +121,18 @@ inline SweepOptions sweep_options(const util::CliArgs& args,
   opt.tool = slash == std::string::npos ? argv0 : argv0.substr(slash + 1);
   if (opt.tool.empty()) opt.tool = "bench";
   return opt;
+}
+
+/// Call after a bench's last flag query: a flag the bench never declared
+/// (a typo such as --replicas for --seeds) ends the run with status 2
+/// instead of silently running the defaults.
+inline void reject_unknown_flags(const util::CliArgs& args) {
+  try {
+    args.reject_unknown();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 /// Executes `spec` with the shared options applied: threads from

@@ -148,6 +148,9 @@ void write_deliveries(std::ostream& os, const Options& opt,
 
 /// Builds the ScenarioConfig the run report describes; shared by both
 /// modes so sim and udp reports diff cleanly apart from their metrics.
+/// The channel is the ideal one the fleet runs on: a tight line well
+/// inside one transmission range, no collisions, no loss — every node
+/// hears every frame, like n daemons fanning out on loopback.
 sim::ScenarioConfig report_config(const Options& opt) {
   sim::ScenarioConfig config;
   config.seed = opt.seed;
@@ -159,16 +162,24 @@ sim::ScenarioConfig report_config(const Options& opt) {
   config.protocol_config = opt.protocol;
   config.telemetry_interval = opt.telemetry_interval;
   config.impairment = opt.impairment;
+  config.placement = sim::PlacementKind::kChain;
+  config.chain_spacing = 1;
+  config.tx_range = 1e5;
+  config.medium.collisions_enabled = false;
+  config.medium.base_loss_prob = 0;
   return config;
 }
 
+/// `trace` is summarised in the report when --trace-msgs is on.
 void write_report(const Options& opt, const sim::ScenarioConfig& config,
                   const sim::RunResult& result,
+                  const obs::MsgTraceRecorder& trace,
                   const obs::LiveNetStats* net = nullptr) {
   obs::RunReport report;
   report.tool = "byzcastd";
   report.config = &config;
   report.result = &result;
+  report.trace = opt.trace_msgs_path.empty() ? nullptr : &trace;
   report.net = net;
   if (opt.report_path == "-") {
     report.write_json(std::cout);
@@ -227,14 +238,8 @@ void write_msg_trace_file(const Options& opt,
 // ---------------------------------------------------------------------------
 int run_sim_prediction(const Options& opt) {
   sim::ScenarioConfig config = report_config(opt);
-  // A tight line well inside one transmission range: every node hears
-  // every frame, like n daemons fanning out on loopback. Ingress chaos is
-  // a live-daemon knob; the prediction is the convergence target.
-  config.placement = sim::PlacementKind::kChain;
-  config.chain_spacing = 1;
-  config.tx_range = 1e5;
-  config.medium.collisions_enabled = false;
-  config.medium.base_loss_prob = 0;
+  // Ingress chaos is a live-daemon knob; the prediction is the
+  // convergence target.
   config.impairment = {};
   config.enable_msg_trace = !opt.trace_msgs_path.empty();
   sim::Network network(config);
@@ -265,7 +270,7 @@ int run_sim_prediction(const Options& opt) {
     result.timeline = network.timeline_data();
     result.correct_count = opt.n;
     result.sim_seconds = des::to_seconds(sim.now());
-    write_report(opt, config, result);
+    write_report(opt, config, result, network.msg_trace());
   }
   std::fprintf(stderr, "byzcastd: sim prediction done, %zu nodes, %zu events\n",
                opt.n, static_cast<std::size_t>(sim.events_executed()));
@@ -506,7 +511,7 @@ int run_udp_daemon(const Options& opt) {
     result.correct_count = opt.n;
     result.sim_seconds = static_cast<double>(loop.now()) / 1e6;
     if (timeline) result.timeline = timeline->data();
-    write_report(opt, report_config(opt), result, &net);
+    write_report(opt, report_config(opt), result, msg_trace, &net);
   }
   std::fprintf(stderr,
                "byzcastd: node %u %s: %zu delivered, %llu datagrams in, "

@@ -308,12 +308,14 @@ int main(int argc, char** argv) try {
     add("overlay_healthy", std::string(result.overlay_healthy_end ? "yes" : "no"));
   }
   if (config.impairment.any() || config.impairment_matrix.any()) {
-    net::ImpairmentStats imp = network.impairment_stats();
-    add("impair_forwarded", static_cast<std::int64_t>(imp.forwarded));
-    add("impair_dropped", static_cast<std::int64_t>(imp.dropped));
-    add("impair_duplicated", static_cast<std::int64_t>(imp.duplicated));
-    add("impair_reordered", static_cast<std::int64_t>(imp.reordered));
-    add("impair_corrupted", static_cast<std::int64_t>(imp.corrupted));
+    struct Rows final : obs::GaugeVisitor {
+      explicit Rows(util::Table& t) : table(t) {}
+      void gauge(std::string_view name, std::int64_t value) override {
+        table.add_row({std::string(name), value});
+      }
+      util::Table& table;
+    } rows(table);
+    network.impairment_stats().emit_gauges(rows);
   }
   // --report=- streams the JSON artifact on stdout; keep it parseable by
   // routing the human summary to stderr instead of interleaving.

@@ -1,5 +1,7 @@
 #include "byz/adversary.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -48,7 +50,20 @@ AdversaryKind adversary_kind_from_name(const std::string& name) {
 // --------------------------------------------------------------------------
 // MuteAdversary
 // --------------------------------------------------------------------------
-void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
+MuteAdversary::MuteAdversary(net::Env& env, net::Transport& transport,
+                             const crypto::Pki& pki, crypto::Signer signer,
+                             core::ProtocolConfig config,
+                             stats::Metrics* metrics, des::SimTime onset,
+                             des::SimTime until)
+    : ByzcastNode(env, transport, pki, signer, config, metrics),
+      onset_(onset),
+      until_(until) {}
+
+void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId from) {
+  if (!mute()) {
+    ByzcastNode::handle_data(msg, from);
+    return;
+  }
   // Swallow silently. Keep the store so it "knows" the message (a real
   // selfish node would still read the data) — it just never spends a
   // transmission on anyone else.
@@ -58,55 +73,71 @@ void MuteAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
 }
 
 void MuteAdversary::handle_gossip(const core::GossipMsg& msg, NodeId from) {
-  // Keep consuming beacons — including ones piggybacked on gossip — so
-  // our own HELLOs report a live neighbour list and the election keeps
-  // trusting us. A mute node that ignores beacons betrays itself without
-  // the failure detector's help (its fabricated HELLOs go stale).
-  if (msg.hello) handle_hello(*msg.hello, from);
+  if (!mute()) {
+    ByzcastNode::handle_gossip(msg, from);
+  } else if (msg.hello) {
+    // Keep consuming beacons — including ones piggybacked on gossip — so
+    // our own HELLOs report a live neighbour list and the election keeps
+    // trusting us. A mute node that ignores beacons betrays itself
+    // without the failure detector's help (its HELLOs go stale).
+    handle_hello(*msg.hello, from);
+  }
 }
-void MuteAdversary::handle_request(const core::RequestMsg&, NodeId) {}
-void MuteAdversary::handle_find(const core::FindMissingMsg&, NodeId) {}
+
+void MuteAdversary::handle_request(const core::RequestMsg& msg,
+                                   NodeId from) {
+  if (!mute()) ByzcastNode::handle_request(msg, from);
+}
+
+void MuteAdversary::handle_find(const core::FindMissingMsg& msg,
+                                NodeId from) {
+  if (!mute()) ByzcastNode::handle_find(msg, from);
+}
 
 void MuteAdversary::on_hello_tick() {
-  table_.expire(env_.now());
-  // The lie: always claim overlay membership, regardless of any election
-  // rule — "as they are Byzantine, they may continue to consider
-  // themselves as overlay nodes" (§3.3).
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
+  if (mute()) {
+    claim_overlay();
+  } else {
+    ByzcastNode::on_hello_tick();
+  }
 }
 
-void MuteAdversary::on_gossip_tick() {}  // never gossips
+void MuteAdversary::on_gossip_tick() {
+  if (!mute()) ByzcastNode::on_gossip_tick();
+}
+
+// --------------------------------------------------------------------------
+// PeriodicAdversary
+// --------------------------------------------------------------------------
+PeriodicAdversary::PeriodicAdversary(net::Env& env,
+                                     net::Transport& transport,
+                                     const crypto::Pki& pki,
+                                     crypto::Signer signer,
+                                     core::ProtocolConfig config,
+                                     stats::Metrics* metrics,
+                                     des::SimDuration period)
+    : ByzcastNode(env, transport, pki, signer, config, metrics),
+      timer_(env_, period, [this] { act(); }) {}
+
+void PeriodicAdversary::start() {
+  ByzcastNode::start();
+  timer_.start();
+}
+
+void PeriodicAdversary::stop() {
+  ByzcastNode::stop();
+  timer_.stop();
+}
 
 // --------------------------------------------------------------------------
 // VerboseAdversary
 // --------------------------------------------------------------------------
-VerboseAdversary::VerboseAdversary(net::Env& env, net::Transport& transport,
-                                   const crypto::Pki& pki,
-                                   crypto::Signer signer,
-                                   core::ProtocolConfig config,
-                                   stats::Metrics* metrics,
-                                   des::SimDuration spam_period)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      spam_timer_(env_, spam_period, [this] { spam(); }) {}
-
-void VerboseAdversary::stop() {
-  ByzcastNode::stop();
-  spam_timer_.stop();
-}
-
-void VerboseAdversary::start() {
-  ByzcastNode::start();
-  spam_timer_.start();
-}
-
 void VerboseAdversary::handle_data(const core::DataMsg& msg, NodeId from) {
   if (verify_data(msg)) known_entries_.push_back(msg.gossip_entry());
   ByzcastNode::handle_data(msg, from);
 }
 
-void VerboseAdversary::spam() {
+void VerboseAdversary::act() {
   if (known_entries_.empty()) return;
   const core::GossipEntry& entry =
       known_entries_[rng_.next_below(known_entries_.size())];
@@ -127,22 +158,11 @@ ForgerAdversary::ForgerAdversary(net::Env& env, net::Transport& transport,
                                  const crypto::Pki& pki, crypto::Signer signer,
                                  core::ProtocolConfig config,
                                  stats::Metrics* metrics,
-                                 des::SimDuration forge_period, NodeId victim)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      forge_timer_(env_, forge_period, [this] { forge(); }),
+                                 des::SimDuration period, NodeId victim)
+    : PeriodicAdversary(env, transport, pki, signer, config, metrics, period),
       victim_(victim) {}
 
-void ForgerAdversary::stop() {
-  ByzcastNode::stop();
-  forge_timer_.stop();
-}
-
-void ForgerAdversary::start() {
-  ByzcastNode::start();
-  forge_timer_.start();
-}
-
-void ForgerAdversary::forge() {
+void ForgerAdversary::act() {
   core::DataMsg msg;
   msg.id = core::MessageId{victim_, forged_seq_++};
   msg.ttl = 1;
@@ -178,13 +198,6 @@ void LiarAdversary::handle_data(const core::DataMsg& msg, NodeId /*from*/) {
   send_packet(tampered);
 }
 
-void LiarAdversary::on_hello_tick() {
-  table_.expire(env_.now());
-  active_ = true;  // lie its way into the overlay
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
 // --------------------------------------------------------------------------
 // FakeGossiperAdversary
 // --------------------------------------------------------------------------
@@ -196,9 +209,6 @@ void FakeGossiperAdversary::handle_gossip(const core::GossipMsg& msg,
     if (verify_gossip_entry(entry)) gossip_queue_.enqueue(entry);
   }
 }
-
-void FakeGossiperAdversary::handle_request(const core::RequestMsg&, NodeId) {}
-void FakeGossiperAdversary::handle_find(const core::FindMissingMsg&, NodeId) {}
 
 // --------------------------------------------------------------------------
 // SelectiveForwarder
@@ -222,131 +232,6 @@ void SelectiveForwarder::handle_data(const core::DataMsg& msg, NodeId from) {
   } else {
     store_.insert(msg, env_.now());  // swallow
   }
-}
-
-void SelectiveForwarder::handle_request(const core::RequestMsg&, NodeId) {}
-void SelectiveForwarder::handle_find(const core::FindMissingMsg&, NodeId) {}
-
-void SelectiveForwarder::on_hello_tick() {
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-// --------------------------------------------------------------------------
-// DelayedMuteAdversary
-// --------------------------------------------------------------------------
-DelayedMuteAdversary::DelayedMuteAdversary(
-    net::Env& env, net::Transport& transport, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      onset_(onset) {}
-
-void DelayedMuteAdversary::handle_data(const core::DataMsg& msg,
-                                       NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_data(msg, from);
-    return;
-  }
-  if (verify_data(msg) && !store_.has(msg.id)) {
-    store_.insert(msg, env_.now());  // reads, never relays
-  }
-}
-
-void DelayedMuteAdversary::handle_gossip(const core::GossipMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_gossip(msg, from);
-  } else if (msg.hello) {
-    // Stay credible (see MuteAdversary).
-    handle_hello(*msg.hello, from);
-  }
-}
-
-void DelayedMuteAdversary::handle_request(const core::RequestMsg& msg,
-                                          NodeId from) {
-  if (!faulty()) ByzcastNode::handle_request(msg, from);
-}
-
-void DelayedMuteAdversary::handle_find(const core::FindMissingMsg& msg,
-                                       NodeId from) {
-  if (!faulty()) ByzcastNode::handle_find(msg, from);
-}
-
-void DelayedMuteAdversary::on_hello_tick() {
-  if (!faulty()) {
-    ByzcastNode::on_hello_tick();
-    return;
-  }
-  // Keep claiming the overlay role it honestly earned (or better).
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-void DelayedMuteAdversary::on_gossip_tick() {
-  if (!faulty()) ByzcastNode::on_gossip_tick();
-}
-
-// --------------------------------------------------------------------------
-// TransientMuteAdversary
-// --------------------------------------------------------------------------
-TransientMuteAdversary::TransientMuteAdversary(
-    net::Env& env, net::Transport& transport, const crypto::Pki& pki,
-    crypto::Signer signer, core::ProtocolConfig config,
-    stats::Metrics* metrics, des::SimDuration onset,
-    des::SimDuration duration)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      onset_(onset),
-      duration_(duration) {}
-
-void TransientMuteAdversary::handle_data(const core::DataMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_data(msg, from);
-    return;
-  }
-  if (verify_data(msg) && !store_.has(msg.id)) {
-    store_.insert(msg, env_.now());
-  }
-}
-
-void TransientMuteAdversary::handle_gossip(const core::GossipMsg& msg,
-                                           NodeId from) {
-  if (!faulty()) {
-    ByzcastNode::handle_gossip(msg, from);
-  } else if (msg.hello) {
-    // Stay credible (see MuteAdversary).
-    handle_hello(*msg.hello, from);
-  }
-}
-
-void TransientMuteAdversary::handle_request(const core::RequestMsg& msg,
-                                            NodeId from) {
-  if (!faulty()) ByzcastNode::handle_request(msg, from);
-}
-
-void TransientMuteAdversary::handle_find(const core::FindMissingMsg& msg,
-                                         NodeId from) {
-  if (!faulty()) ByzcastNode::handle_find(msg, from);
-}
-
-void TransientMuteAdversary::on_hello_tick() {
-  if (!faulty()) {
-    ByzcastNode::on_hello_tick();
-    return;
-  }
-  table_.expire(env_.now());
-  active_ = true;
-  dominator_ = true;
-  send_packet(make_hello());
-}
-
-void TransientMuteAdversary::on_gossip_tick() {
-  if (!faulty()) ByzcastNode::on_gossip_tick();
 }
 
 // --------------------------------------------------------------------------
@@ -384,31 +269,12 @@ void HelloLiarAdversary::on_hello_tick() {
 // --------------------------------------------------------------------------
 // ReplayerAdversary
 // --------------------------------------------------------------------------
-ReplayerAdversary::ReplayerAdversary(net::Env& env, net::Transport& transport,
-                                     const crypto::Pki& pki,
-                                     crypto::Signer signer,
-                                     core::ProtocolConfig config,
-                                     stats::Metrics* metrics,
-                                     des::SimDuration replay_period)
-    : ByzcastNode(env, transport, pki, signer, config, metrics),
-      replay_timer_(env_, replay_period, [this] { replay(); }) {}
-
-void ReplayerAdversary::stop() {
-  ByzcastNode::stop();
-  replay_timer_.stop();
-}
-
-void ReplayerAdversary::start() {
-  ByzcastNode::start();
-  replay_timer_.start();
-}
-
 void ReplayerAdversary::handle_data(const core::DataMsg& msg, NodeId from) {
   if (verify_data(msg) && recorded_.size() < 256) recorded_.push_back(msg);
   ByzcastNode::handle_data(msg, from);
 }
 
-void ReplayerAdversary::replay() {
+void ReplayerAdversary::act() {
   if (recorded_.empty()) return;
   // Replay an old message verbatim; the signature still verifies, so
   // only at-most-once accounting stands between this and a duplicate
@@ -425,13 +291,14 @@ std::unique_ptr<core::ByzcastNode> make_adversary(
     AdversaryKind kind, net::Env& env, net::Transport& transport,
     const crypto::Pki& pki, crypto::Signer signer, core::ProtocolConfig config,
     stats::Metrics* metrics, const AdversaryParams& params) {
+  constexpr des::SimTime kForever = std::numeric_limits<des::SimTime>::max();
   switch (kind) {
     case AdversaryKind::kNone:
       return std::make_unique<core::ByzcastNode>(env, transport, pki, signer,
                                                  config, metrics);
     case AdversaryKind::kMute:
       return std::make_unique<MuteAdversary>(env, transport, pki, signer,
-                                             config, metrics);
+                                             config, metrics, 0, kForever);
     case AdversaryKind::kVerbose:
       return std::make_unique<VerboseAdversary>(env, transport, pki, signer,
                                                 config, metrics,
@@ -452,13 +319,13 @@ std::unique_ptr<core::ByzcastNode> make_adversary(
                                                   config, metrics,
                                                   params.forward_prob);
     case AdversaryKind::kDelayedMute:
-      return std::make_unique<DelayedMuteAdversary>(env, transport, pki,
-                                                    signer, config, metrics,
-                                                    params.mute_onset);
+      return std::make_unique<MuteAdversary>(env, transport, pki, signer,
+                                             config, metrics,
+                                             params.mute_onset, kForever);
     case AdversaryKind::kTransientMute:
-      return std::make_unique<TransientMuteAdversary>(
+      return std::make_unique<MuteAdversary>(
           env, transport, pki, signer, config, metrics, params.mute_onset,
-          params.mute_duration);
+          params.mute_onset + params.mute_duration);
     case AdversaryKind::kHelloLiar:
       return std::make_unique<HelloLiarAdversary>(env, transport, pki, signer,
                                                   config, metrics,

@@ -30,7 +30,7 @@ enum class AdversaryKind {
   kFakeGossiper,        ///< gossips claims it refuses to back with data
   kSelectiveForwarder,  ///< drops a random fraction of forwards
   kDelayedMute,         ///< honest until an onset time, then mute
-  kTransientMute,       ///< mute only during [onset, onset+duration]
+  kTransientMute,       ///< mute only during [onset, onset+duration)
   kHelloLiar,           ///< fabricates HELLO contents (election attack)
   kReplayer,            ///< replays old valid DATA messages
 };
@@ -53,12 +53,22 @@ struct AdversaryParams {
   NodeId victim = 0;
 };
 
-/// Claims overlay membership in every HELLO but never forwards DATA,
-/// never gossips, never answers recovery requests. The paper's "most
-/// adverse impact" failure (§4 preamble).
+/// Honest outside the window [onset, until), mute inside it: claims
+/// overlay membership in every HELLO but never forwards DATA, never
+/// gossips, never answers recovery requests — the paper's "most adverse
+/// impact" failure (§4 preamble). The window spans the paper's mute
+/// models: [0, ∞) is a mute node from the start (kMute), [onset, ∞) a
+/// node that turns mute mid-run (kDelayedMute: a correct baseline, a
+/// fault event, a detection, a recovery — the healing timeline E5
+/// needs), and a bounded window the I-mute interval of §2.2
+/// (kTransientMute), after which suspicions must age out (Interval
+/// Strong Accuracy).
 class MuteAdversary final : public core::ByzcastNode {
  public:
-  using ByzcastNode::ByzcastNode;
+  MuteAdversary(net::Env& env, net::Transport& transport,
+                const crypto::Pki& pki, crypto::Signer signer,
+                core::ProtocolConfig config, stats::Metrics* metrics,
+                des::SimTime onset, des::SimTime until);
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
@@ -67,47 +77,62 @@ class MuteAdversary final : public core::ByzcastNode {
   void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
   void on_hello_tick() override;
   void on_gossip_tick() override;
+
+ private:
+  [[nodiscard]] bool mute() const {
+    return env_.now() >= onset_ && env_.now() < until_;
+  }
+  des::SimTime onset_;
+  des::SimTime until_;
 };
 
-/// Runs the honest protocol but additionally sprays REQUEST_MSGs for
-/// messages it already holds at `spam_period`, trying to make overlay
-/// nodes burn airtime on retransmissions.
-class VerboseAdversary final : public core::ByzcastNode {
+/// Base of the adversaries that act on a clock: runs the honest protocol
+/// and calls act() every `period`, on a timer started and stopped with
+/// the node.
+class PeriodicAdversary : public core::ByzcastNode {
  public:
-  VerboseAdversary(net::Env& env, net::Transport& transport,
-                   const crypto::Pki& pki, crypto::Signer signer,
-                   core::ProtocolConfig config,
-                   stats::Metrics* metrics = nullptr,
-                   des::SimDuration spam_period = des::millis(5));
+  PeriodicAdversary(net::Env& env, net::Transport& transport,
+                    const crypto::Pki& pki, crypto::Signer signer,
+                    core::ProtocolConfig config, stats::Metrics* metrics,
+                    des::SimDuration period);
   void start() override;
   void stop() override;
 
+ protected:
+  virtual void act() = 0;
+
  private:
-  void spam();
-  net::PeriodicTimer spam_timer_;
-  std::vector<core::GossipEntry> known_entries_;
+  net::PeriodicTimer timer_;
+};
+
+/// Sprays a REQUEST_MSG each period for a message it already holds,
+/// trying to make overlay nodes burn airtime on retransmissions.
+class VerboseAdversary final : public PeriodicAdversary {
+ public:
+  using PeriodicAdversary::PeriodicAdversary;
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
+  void act() override;
+
+ private:
+  std::vector<core::GossipEntry> known_entries_;
 };
 
-/// Periodically injects DATA messages that claim another node as
-/// originator with a random signature (it cannot forge a real one) —
-/// the validity property's direct antagonist.
-class ForgerAdversary final : public core::ByzcastNode {
+/// Injects a DATA message each period that claims `victim` as originator
+/// with a random signature (it cannot forge a real one) — the validity
+/// property's direct antagonist.
+class ForgerAdversary final : public PeriodicAdversary {
  public:
   ForgerAdversary(net::Env& env, net::Transport& transport,
                   const crypto::Pki& pki, crypto::Signer signer,
-                  core::ProtocolConfig config,
-                  stats::Metrics* metrics = nullptr,
-                  des::SimDuration forge_period = des::millis(500),
-                  NodeId victim = 0);
-  void start() override;
-  void stop() override;
+                  core::ProtocolConfig config, stats::Metrics* metrics,
+                  des::SimDuration period, NodeId victim);
+
+ protected:
+  void act() override;
 
  private:
-  void forge();
-  net::PeriodicTimer forge_timer_;
   NodeId victim_;
   std::uint32_t forged_seq_ = 1'000'000;  // away from real sequence space
 };
@@ -120,7 +145,7 @@ class LiarAdversary final : public core::ByzcastNode {
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
+  void on_hello_tick() override { claim_overlay(); }
 };
 
 /// Relays gossip for messages it does not hold (violating the protocol's
@@ -134,8 +159,8 @@ class FakeGossiperAdversary final : public core::ByzcastNode {
 
  protected:
   void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
+  void handle_request(const core::RequestMsg&, NodeId) override {}
+  void handle_find(const core::FindMissingMsg&, NodeId) override {}
 };
 
 /// Claims overlay membership but forwards each DATA only with probability
@@ -144,69 +169,17 @@ class SelectiveForwarder final : public core::ByzcastNode {
  public:
   SelectiveForwarder(net::Env& env, net::Transport& transport,
                      const crypto::Pki& pki, crypto::Signer signer,
-                     core::ProtocolConfig config,
-                     stats::Metrics* metrics = nullptr,
-                     double forward_prob = 0.3);
+                     core::ProtocolConfig config, stats::Metrics* metrics,
+                     double forward_prob);
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
+  void handle_request(const core::RequestMsg&, NodeId) override {}
+  void handle_find(const core::FindMissingMsg&, NodeId) override {}
+  void on_hello_tick() override { claim_overlay(); }
 
  private:
   double forward_prob_;
-};
-
-/// Runs the honest protocol until `params.mute_onset`, then turns mute —
-/// the clean fault-onset semantics the healing-timeline experiment (E5)
-/// needs: a correct baseline, a fault event, a detection, a recovery.
-class DelayedMuteAdversary final : public core::ByzcastNode {
- public:
-  DelayedMuteAdversary(net::Env& env, net::Transport& transport,
-                       const crypto::Pki& pki, crypto::Signer signer,
-                       core::ProtocolConfig config, stats::Metrics* metrics,
-                       des::SimDuration onset);
-
- protected:
-  void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
-  void on_gossip_tick() override;
-
- private:
-  [[nodiscard]] bool faulty() const { return env_.now() >= onset_; }
-  des::SimTime onset_;
-};
-
-/// Mute only during the interval [onset, onset+duration] — the paper's
-/// I-mute model (§2.2): a "mute interval" that the detector must catch
-/// (Interval Local Completeness) and a return to correctness after which
-/// suspicions must eventually clear (Interval Strong Accuracy via the
-/// aging mechanism).
-class TransientMuteAdversary final : public core::ByzcastNode {
- public:
-  TransientMuteAdversary(net::Env& env, net::Transport& transport,
-                         const crypto::Pki& pki, crypto::Signer signer,
-                         core::ProtocolConfig config, stats::Metrics* metrics,
-                         des::SimDuration onset, des::SimDuration duration);
-
- protected:
-  void handle_data(const core::DataMsg& msg, NodeId from) override;
-  void handle_gossip(const core::GossipMsg& msg, NodeId from) override;
-  void handle_request(const core::RequestMsg& msg, NodeId from) override;
-  void handle_find(const core::FindMissingMsg& msg, NodeId from) override;
-  void on_hello_tick() override;
-  void on_gossip_tick() override;
-
- private:
-  [[nodiscard]] bool faulty() const {
-    return env_.now() >= onset_ && env_.now() < onset_ + duration_;
-  }
-  des::SimTime onset_;
-  des::SimDuration duration_;
 };
 
 /// Election attacker: forwards data honestly but fabricates its HELLOs —
@@ -228,24 +201,18 @@ class HelloLiarAdversary final : public core::ByzcastNode {
   NodeId victim_;
 };
 
-/// Replays previously-heard valid DATA messages at `action_period`,
-/// long after the originals — the at-most-once clause of the validity
-/// property is its direct antagonist (accepted ids outlive purging).
-class ReplayerAdversary final : public core::ByzcastNode {
+/// Replays a previously-heard valid DATA message each period, long after
+/// the original — the at-most-once clause of the validity property is its
+/// direct antagonist (accepted ids outlive purging).
+class ReplayerAdversary final : public PeriodicAdversary {
  public:
-  ReplayerAdversary(net::Env& env, net::Transport& transport,
-                    const crypto::Pki& pki, crypto::Signer signer,
-                    core::ProtocolConfig config, stats::Metrics* metrics,
-                    des::SimDuration replay_period);
-  void start() override;
-  void stop() override;
+  using PeriodicAdversary::PeriodicAdversary;
 
  protected:
   void handle_data(const core::DataMsg& msg, NodeId from) override;
+  void act() override;
 
  private:
-  void replay();
-  net::PeriodicTimer replay_timer_;
   std::vector<core::DataMsg> recorded_;
 };
 

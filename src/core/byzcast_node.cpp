@@ -693,6 +693,13 @@ void ByzcastNode::on_hello_tick() {
   }
 }
 
+void ByzcastNode::claim_overlay() {
+  table_.expire(env_.now());
+  active_ = true;
+  dominator_ = true;
+  send_packet(make_hello());
+}
+
 void ByzcastNode::on_gossip_tick() {
   for (GossipMsg& packet : gossip_queue_.flush()) {
     send_packet(packet);

@@ -13,10 +13,12 @@
 //  3. Overlay maintenance: HELLO beacons + a pluggable trust-aware
 //     election rule (CDS or MIS+B).
 //
-// Every handler is virtual so Byzantine behaviours (byz/adversary.h) can
-// override precisely the step they corrupt while inheriting the rest of
-// the honest machinery — a Byzantine node is "a node running different
-// code", which is exactly how the type system models it here.
+// The upon-receive handlers, the periodic ticks and start/stop are
+// virtual so Byzantine behaviours (byz/adversary.h) can override
+// precisely the step they corrupt while inheriting the rest of the honest
+// machinery — a Byzantine node is "a node running different code", which
+// is exactly how the type system models it here. Frame dispatch and HELLO
+// processing are not: every behaviour keeps them honest.
 #pragma once
 
 #include <cstdint>
@@ -141,7 +143,7 @@ class ByzcastNode : public obs::GaugeSource {
 
  protected:
   // --- dispatch (the FD interceptor of Figure 1) ---------------------------
-  virtual void on_frame(const radio::Frame& frame);
+  void on_frame(const radio::Frame& frame);
   // --- the five upon-receive handlers of Figures 3/4 -----------------------
   // The packet they read is shared by every receiver of the transmission
   // (core/decoded_frame.h), hence const throughout.
@@ -149,12 +151,17 @@ class ByzcastNode : public obs::GaugeSource {
   virtual void handle_gossip(const GossipMsg& msg, NodeId from);
   virtual void handle_request(const RequestMsg& msg, NodeId from);
   virtual void handle_find(const FindMissingMsg& msg, NodeId from);
-  virtual void handle_hello(const HelloMsg& msg, NodeId from);
+  void handle_hello(const HelloMsg& msg, NodeId from);
   // --- periodic tasks -------------------------------------------------------
   virtual void on_gossip_tick();
   virtual void on_hello_tick();
 
   // --- helpers shared with adversaries --------------------------------------
+  /// The HELLO tick of a node that lies its way into the overlay: expires
+  /// the neighbour table and beacons overlay membership regardless of the
+  /// election rule — "as they are Byzantine, they may continue to consider
+  /// themselves as overlay nodes" (§3.3).
+  void claim_overlay();
   void send_packet(const Packet& packet);
   /// The single byte-accounting funnel: every outgoing buffer — freshly
   /// serialized or replayed from a store/frame cache — passes through

@@ -188,17 +188,17 @@ void ImpairedTransport::on_frame(const radio::Frame& frame) {
   }
 }
 
+void ImpairmentStats::emit_gauges(obs::GaugeVisitor& visitor) const {
+  visitor.gauge("impair_forwarded", static_cast<std::int64_t>(forwarded));
+  visitor.gauge("impair_dropped", static_cast<std::int64_t>(dropped));
+  visitor.gauge("impair_duplicated", static_cast<std::int64_t>(duplicated));
+  visitor.gauge("impair_reordered", static_cast<std::int64_t>(reordered));
+  visitor.gauge("impair_delayed", static_cast<std::int64_t>(delayed));
+  visitor.gauge("impair_corrupted", static_cast<std::int64_t>(corrupted));
+}
+
 void ImpairedTransport::poll_gauges(obs::GaugeVisitor& visitor) const {
-  visitor.gauge("impair_forwarded",
-                static_cast<std::int64_t>(stats_.forwarded));
-  visitor.gauge("impair_dropped", static_cast<std::int64_t>(stats_.dropped));
-  visitor.gauge("impair_duplicated",
-                static_cast<std::int64_t>(stats_.duplicated));
-  visitor.gauge("impair_reordered",
-                static_cast<std::int64_t>(stats_.reordered));
-  visitor.gauge("impair_delayed", static_cast<std::int64_t>(stats_.delayed));
-  visitor.gauge("impair_corrupted",
-                static_cast<std::int64_t>(stats_.corrupted));
+  stats_.emit_gauges(visitor);
 }
 
 void ImpairedTransport::deliver(radio::Frame frame, des::SimDuration delay) {

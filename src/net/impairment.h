@@ -130,6 +130,9 @@ struct ImpairmentStats {
   [[nodiscard]] std::uint64_t impaired() const {
     return dropped + duplicated + reordered + delayed + corrupted;
   }
+  /// Emits the six counters as the `impair_*` gauges — the one list of
+  /// their names, shared by timeline columns and summaries.
+  void emit_gauges(obs::GaugeVisitor& visitor) const;
 };
 
 /// Flips one uniformly chosen byte's lowest bit in `data` (no-op on an

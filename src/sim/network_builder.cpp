@@ -41,17 +41,7 @@ class ImpairmentGauges final : public obs::GaugeSource {
   explicit ImpairmentGauges(const Network& net) : net_(net) {}
 
   void poll_gauges(obs::GaugeVisitor& visitor) const override {
-    const net::ImpairmentStats stats = net_.impairment_stats();
-    visitor.gauge("impair_forwarded",
-                  static_cast<std::int64_t>(stats.forwarded));
-    visitor.gauge("impair_dropped", static_cast<std::int64_t>(stats.dropped));
-    visitor.gauge("impair_duplicated",
-                  static_cast<std::int64_t>(stats.duplicated));
-    visitor.gauge("impair_reordered",
-                  static_cast<std::int64_t>(stats.reordered));
-    visitor.gauge("impair_delayed", static_cast<std::int64_t>(stats.delayed));
-    visitor.gauge("impair_corrupted",
-                  static_cast<std::int64_t>(stats.corrupted));
+    net_.impairment_stats().emit_gauges(visitor);
   }
 
  private:

@@ -78,6 +78,61 @@ TEST(Determinism, GoldenSnapshotHashUnchanged) {
   EXPECT_EQ(crypto::fnv1a(snap), 0x4771d0fe352e8837ULL) << snap;
 }
 
+// One golden hash per adversary kind: each behaviour must stay
+// event-for-event identical through any restructuring of src/byz/. The
+// mute onset and duration fall inside the run, so the delayed and
+// transient variants turn mute (and the transient one back) on air.
+struct KindHash {
+  byz::AdversaryKind kind;
+  std::uint64_t hash;
+};
+
+// Names the parameter by its kind; the default printer would dump the
+// struct's bytes, padding included, into the listed test names.
+void PrintTo(const KindHash& param, std::ostream* os) {
+  *os << byz::adversary_kind_name(param.kind);
+}
+
+class PerKindSnapshotHash : public ::testing::TestWithParam<KindHash> {};
+
+TEST_P(PerKindSnapshotHash, Unchanged) {
+  sim::ScenarioConfig config;
+  config.seed = 20260805;
+  config.n = 16;
+  config.area = {340, 340};
+  config.tx_range = 130;
+  config.num_broadcasts = 8;
+  config.payload_bytes = 96;
+  config.cooldown = des::seconds(8);
+  config.adversary_params.mute_onset = des::seconds(3);
+  config.adversary_params.mute_duration = des::seconds(4);
+  config.adversaries = {{GetParam().kind, 2}};
+  std::string snap = stats::snapshot(sim::run_scenario(config).metrics);
+  EXPECT_EQ(crypto::fnv1a(snap), GetParam().hash) << snap;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Determinism, PerKindSnapshotHash,
+    ::testing::Values(
+        KindHash{byz::AdversaryKind::kMute, 0x7d4a05d4dcccdbedULL},
+        KindHash{byz::AdversaryKind::kVerbose, 0xf2df925346ab880dULL},
+        KindHash{byz::AdversaryKind::kForger, 0xdea2f749f70e99c2ULL},
+        KindHash{byz::AdversaryKind::kLiar, 0x4c8ca1fe31ac4441ULL},
+        KindHash{byz::AdversaryKind::kFakeGossiper, 0x87987ba83e4b7c1fULL},
+        KindHash{byz::AdversaryKind::kSelectiveForwarder,
+                 0xcee8b9a857b8ef27ULL},
+        KindHash{byz::AdversaryKind::kDelayedMute, 0xe161f56bcc581f56ULL},
+        KindHash{byz::AdversaryKind::kTransientMute, 0x7d315756049852b1ULL},
+        KindHash{byz::AdversaryKind::kHelloLiar, 0xcb1460d7ecb58d02ULL},
+        KindHash{byz::AdversaryKind::kReplayer, 0x9da05d9226d76a41ULL}),
+    [](const ::testing::TestParamInfo<KindHash>& info) {
+      std::string name = byz::adversary_kind_name(info.param.kind);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 // The obs::Timeline samples from a DES timer, so its snapshot is part of
 // the deterministic surface too: same (ScenarioConfig, seed) — with
 // telemetry enabled — must give byte-identical timeline dumps, and the

@@ -216,6 +216,16 @@ def check_reports(args):
         net = doc["run"].get("net")
         if net is None:
             raise SystemExit(f"{path}: udp run report lacks a net section")
+        # Every daemon's report describes the ideal-channel scenario the
+        # DES prediction runs, and summarises its trace when it keeps one.
+        tx_range = doc["run"]["scenario"]["tx_range"]
+        if tx_range != 1e5:
+            raise SystemExit(f"{path}: scenario tx_range {tx_range}, "
+                             "expected the prediction's 1e5")
+        trace = doc["run"]["trace"]
+        if args.trace_dir and (trace is None or trace["events"] == 0):
+            raise SystemExit(f"{path}: --trace-msgs set but the report "
+                             "carries no trace summary")
         imp = net["impairment"]
         impaired += (imp["dropped"] + imp["duplicated"] + imp["reordered"]
                      + imp["corrupted"] + imp["wire_corrupted"])
